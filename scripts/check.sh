@@ -78,6 +78,30 @@ print("observability gate: trace/metrics/report OK")
 EOF
 python3 scripts/summarize_report.py "$OBS_DIR/report.json"
 
+# SAT-stage gate: the two abort-heavy blocks must classify every fault
+# within the default conflict budget — A no larger than the per-block
+# counts in EXPERIMENTS.md ("SAT second stage") — and the run report must
+# carry the SAT counters.
+SATSTAGE_DIR="$BUILD_DIR/sat_stage_gate"
+mkdir -p "$SATSTAGE_DIR"
+for spec in sparc_ffu:0 aes_core:0; do
+  block="${spec%%:*}"
+  "$BUILD_DIR/tools/dfmres" flow "$block" \
+    --report-out "$SATSTAGE_DIR/$block.json" > /dev/null
+  python3 - "$SATSTAGE_DIR/$block.json" "${spec#*:}" <<'EOF'
+import json, sys
+report = json.load(open(sys.argv[1]))
+max_a = int(sys.argv[2])
+aborted = report["final"]["aborted"]
+assert aborted <= max_a, f"{report['circuit']}: A={aborted} > {max_a}"
+for key in ("podem_handoffs", "sat_calls", "sat_conflicts", "sat_detected",
+            "sat_undetectable", "sat_aborted", "sat_seconds"):
+    assert key in report["atpg"], f"report lacks atpg.{key}"
+print(f"sat stage gate: {report['circuit']} A={aborted} (<= {max_a}),"
+      f" {report['atpg']['sat_calls']} SAT calls")
+EOF
+done
+
 # A failing run must still flush its observability outputs: the CLI
 # exits non-zero but --trace-out holds a complete, loadable document,
 # not nothing and not a torn file.

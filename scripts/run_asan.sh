@@ -4,7 +4,9 @@
 # address,undefined (see CMakeLists.txt). Runs the suites that exercise
 # the simulator-arena rebinding, the cache overlays and the speculative
 # ladder (warm_start_test), the core flow (core_test), the engine
-# itself (atpg_test), and the copy-on-write probe overlays
+# itself (atpg_test), the SAT stage's solver and miter (sat_test: clause
+# arena garbage collection and watch-list reuse across resets), and the
+# copy-on-write probe overlays
 # (overlay_test — baseline frame aliasing and the per-batch dirty-slot
 # replay are exactly the pointer gymnastics ASan is for). Any report
 # aborts with a non-zero exit.
@@ -18,7 +20,7 @@ cmake -B "$BUILD_DIR" -S . -DDFMRES_SANITIZE=address \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
   --target warm_start_test core_test atpg_test overlay_test simd_kernel_test \
-  lease_test
+  lease_test sat_test
 
 # Fail loudly on the first report from either sanitizer.
 SAN_ENV="halt_on_error=1 exitcode=66"
@@ -28,6 +30,9 @@ ASAN_OPTIONS="$SAN_ENV" UBSAN_OPTIONS="$SAN_ENV" \
   "$BUILD_DIR/tests/core_test"
 ASAN_OPTIONS="$SAN_ENV" UBSAN_OPTIONS="$SAN_ENV" \
   "$BUILD_DIR/tests/atpg_test"
+# The tv80 differential repeats the sparc_tlu one on a 3x larger block.
+ASAN_OPTIONS="$SAN_ENV" UBSAN_OPTIONS="$SAN_ENV" \
+  "$BUILD_DIR/tests/sat_test" --gtest_filter='-SatAtpg.AgreesWithPodemOnTv80'
 # The tv80 end-to-end case reruns two full resynthesis searches — far
 # too slow under instrumentation; the small-block cases cover the same
 # overlay load/discard/rebase code paths.

@@ -42,8 +42,10 @@ KNOWN_SCHEMAS = [
 
 def fmt_state(s):
     return (
-        f"U={s['undetectable']:<6} Smax={s['smax']:<6} "
-        f"%Smax={s['smax_pct']:6.2f}  cov={100.0 * s['coverage']:6.2f}%  "
+        f"U={s['undetectable']:<6} A={s.get('aborted', 0):<4} "
+        f"Smax={s['smax']:<6} %Smax={s['smax_pct']:6.2f}  "
+        f"cov=[{100.0 * s.get('coverage_lower', s['coverage']):6.2f}, "
+        f"{100.0 * s['coverage']:6.2f}]%  "
         f"delay={s['delay']:.3f}  power={s['power']:.1f}  T={s['tests']}"
     )
 
@@ -316,6 +318,11 @@ def summarize_run(report, indent=""):
             f"   atpg: {atpg['patterns_simulated']} patterns, "
             f"{atpg['detect_mask_calls']} detect_mask calls, "
             f"{atpg['podem_backtracks']} backtracks, "
+            f"sat {atpg.get('sat_calls', 0)} calls "
+            f"({atpg.get('sat_detected', 0)} D/"
+            f"{atpg.get('sat_undetectable', 0)} U/"
+            f"{atpg.get('sat_aborted', 0)} A, "
+            f"{atpg.get('sat_conflicts', 0)} conflicts), "
             f"phases {atpg['phase0_seconds']:.2f}/"
             f"{atpg['phase1_seconds']:.2f}/{atpg['phase2_seconds']:.2f}/"
             f"{atpg['phase3_seconds']:.2f}s"

@@ -8,6 +8,7 @@
 #include <memory>
 #include <optional>
 
+#include "src/atpg/sat_atpg.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/thread_pool.hpp"
 #include "src/util/trace.hpp"
@@ -101,7 +102,8 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
       continue;
     }
     const FaultStatus cached = cached_lookup(f);
-    if (cached == FaultStatus::Undetectable || cached == FaultStatus::Aborted ||
+    // A cached Aborted proves nothing, so it is retargeted like Unknown.
+    if (cached == FaultStatus::Undetectable ||
         (cached == FaultStatus::Detected && !options.generate_tests)) {
       result.status[i] = cached;
       continue;
@@ -426,10 +428,21 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
   phase_span.reset();
   result.counters.phase1_seconds = seconds_since(phase1_start);
 
-  // ---- phase 2: deterministic PODEM ----
+  // ---- phase 2: PODEM first pass, SAT on its aborts ----
   const auto phase2_start = Clock::now();
   phase_span.emplace("atpg.phase2.podem", "atpg");
-  Podem podem(nl, view, {options.backtrack_limit, options.cancel});
+  Podem podem(nl, view, {kPodemHandoff, options.cancel});
+  // Built on the first handoff; one solver serves the whole run.
+  std::optional<SatAtpg> sat;
+  const auto hand_off = [&](Podem::Outcome r) {
+    if (r != Podem::Outcome::Aborted || cancel_expired(options.cancel)) {
+      return false;
+    }
+    ++result.counters.podem_handoffs;
+    if (!sat) sat.emplace(nl, view, SatAtpg::Config{options.backtrack_limit,
+                                                    options.cancel});
+    return true;
+  };
   // Process remaining targets; each generated test also drops others.
   std::vector<std::uint32_t> queue = std::move(targets);
   targets.clear();
@@ -449,7 +462,8 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
       }
       std::vector<V3> assign0;
       if (!frame0.empty()) {
-        const auto r = podem.justify(frame0, &assign0);
+        auto r = podem.justify(frame0, &assign0);
+        if (hand_off(r)) r = sat->justify(frame0, &assign0);
         if (r == Podem::Outcome::Undetectable) continue;
         if (r == Podem::Outcome::Aborted) {
           any_aborted = true;
@@ -457,7 +471,8 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
         }
       }
       std::vector<V3> assign1;
-      const auto r = podem.detect(exc, &assign1);
+      auto r = podem.detect(exc, &assign1);
+      if (hand_off(r)) r = sat->detect(exc, &assign1);
       if (r == Podem::Outcome::Aborted) {
         any_aborted = true;
         continue;
@@ -558,6 +573,15 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
   // the hot loops stay free of contended atomics and this serial merge
   // is the only synchronization the instrumentation needs.
   result.counters.podem_backtracks = podem.total_backtracks();
+  if (sat) {
+    const SatAtpg::Stats& st = sat->stats();
+    result.counters.sat_calls = st.calls;
+    result.counters.sat_conflicts = st.conflicts;
+    result.counters.sat_detected = st.detected;
+    result.counters.sat_undetectable = st.undetectable;
+    result.counters.sat_aborted = st.aborted;
+    result.counters.sat_seconds = st.seconds;
+  }
   result.counters.sim_words = simulator.words();
   result.counters.patterns_simulated = simulator.patterns_simulated();
   result.counters.detect_mask_calls = simulator.detect_mask_calls();

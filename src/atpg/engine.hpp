@@ -34,8 +34,14 @@ struct FaultStatusCache {
   void store(const Fault& f, FaultStatus s) { map[f.key()] = s; }
 };
 
+/// Backtracks PODEM may spend on one justify/detect before the target
+/// is handed to the SAT stage. A fixed first-pass budget, not an option.
+inline constexpr long kPodemHandoff = 64;
+
 struct AtpgOptions {
   int random_batches = 8;        ///< 64 random pattern pairs per batch
+  /// SAT conflicts per target (per justify/detect handed over by PODEM);
+  /// past it the target is Aborted. The name predates the SAT stage.
   long backtrack_limit = 4000;
   bool generate_tests = true;    ///< collect + reverse-compact a test set
   std::uint64_t seed = 12345;
@@ -100,17 +106,26 @@ struct AtpgResult {
   bool cancelled = false;
   AtpgCounters counters;            ///< instrumentation (see util/stats)
 
+  /// Upper coverage bound 1 - U/F: aborted faults counted as covered.
   [[nodiscard]] double coverage(std::size_t num_faults) const {
     if (num_faults == 0) return 1.0;
     return 1.0 - static_cast<double>(num_undetectable) /
+                     static_cast<double>(num_faults);
+  }
+  /// Lower coverage bound 1 - (U + A)/F: aborted faults counted as lost.
+  [[nodiscard]] double coverage_lower(std::size_t num_faults) const {
+    if (num_faults == 0) return 1.0;
+    return 1.0 - static_cast<double>(num_undetectable + num_aborted) /
                      static_cast<double>(num_faults);
   }
 };
 
 /// Full classification of a DFM fault universe: optional warm-start
 /// replay of a seed test set, random-pattern fault simulation with
-/// dropping, then complete PODEM for the remainder (detect /
-/// prove-undetectable / abort), with optional test-set generation and
+/// dropping, then PODEM with a kPodemHandoff budget for the remainder
+/// and complete SAT-based ATPG for whatever PODEM aborts (detect /
+/// prove-undetectable / abort past `backtrack_limit` conflicts), with
+/// optional test-set generation and
 /// reverse-order compaction. `cache`, when given, is consulted before
 /// any search and updated afterwards.
 [[nodiscard]] AtpgResult run_atpg(const Netlist& nl,

@@ -1,0 +1,317 @@
+#include "src/atpg/sat_atpg.hpp"
+
+#include <chrono>
+
+namespace dfmres {
+
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+double seconds_since(Clock::time_point start) {
+  return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+/// Minterms of an n-input truth table where input `i` equals `bit`.
+std::uint64_t input_mask(int i, bool bit, std::uint64_t full) {
+  std::uint64_t m = 0;
+  for (int p = 0; p < 64; ++p) {
+    if (((p >> i) & 1) == static_cast<int>(bit)) m |= 1ull << p;
+  }
+  return m & full;
+}
+
+}  // namespace
+
+SatAtpg::SatAtpg(const Netlist& nl, const CombView& view, Config config)
+    : nl_(nl), view_(view), config_(config) {
+  good_var_.assign(view.net_slots, kNoVar);
+  cone_var_.assign(view.net_slots, kNoVar);
+  gate_done_.assign(nl.gate_capacity(), 0);
+  covers_.resize(nl.library().num_cells());
+  cover_ready_.assign(nl.library().num_cells(), 0);
+}
+
+bool SatAtpg::is_source(NetId n) const {
+  const auto& net = nl_.net(n);
+  return net.is_primary_input ||
+         (net.has_gate_driver() && nl_.cell_of(net.driver_gate).sequential);
+}
+
+bool SatAtpg::is_observed(NetId n) const {
+  const auto& net = nl_.net(n);
+  if (net.is_primary_output) return true;
+  for (const PinRef& sink : net.sinks) {
+    if (nl_.cell_of(sink.gate).sequential) return true;
+  }
+  return false;
+}
+
+const std::array<std::vector<SatAtpg::Cube>, kMaxCellOutputs>& SatAtpg::cover(
+    CellId cell) {
+  auto& covers = covers_[cell.value()];
+  if (cover_ready_[cell.value()]) return covers;
+  cover_ready_[cell.value()] = 1;
+  const CellSpec& spec = nl_.library().cell(cell);
+  const int n = spec.num_inputs;
+  const std::uint64_t full = n >= 6 ? ~0ull : (1ull << (1u << n)) - 1;
+  std::uint64_t masks[kMaxCellInputs][2];
+  for (int i = 0; i < n; ++i) {
+    masks[i][0] = input_mask(i, false, full);
+    masks[i][1] = input_mask(i, true, full);
+  }
+  const auto minterms = [&](unsigned care, unsigned value) {
+    std::uint64_t m = full;
+    for (int i = 0; i < n; ++i) {
+      if ((care >> i) & 1u) m &= masks[i][(value >> i) & 1u];
+    }
+    return m;
+  };
+  // Every cube whose minterms all give `out` and none of whose literals
+  // can be dropped: the prime implicants of the output and of its
+  // complement. Together they make unit propagation exact per cell.
+  for (int k = 0; k < spec.num_outputs; ++k) {
+    const std::uint64_t on = spec.truth(k) & full;
+    for (const bool out : {true, false}) {
+      const std::uint64_t target = out ? on : ~on & full;
+      for (unsigned care = 0; care < (1u << n); ++care) {
+        unsigned value = care;
+        for (;;) {
+          if ((minterms(care, value) & ~target) == 0) {
+            bool prime = true;
+            for (int i = 0; i < n && prime; ++i) {
+              if (!((care >> i) & 1u)) continue;
+              const unsigned wider = care & ~(1u << i);
+              prime = (minterms(wider, value & wider) & ~target) != 0;
+            }
+            if (prime) {
+              covers[static_cast<std::size_t>(k)].push_back(
+                  {static_cast<std::uint8_t>(care),
+                   static_cast<std::uint8_t>(value), out});
+            }
+          }
+          if (value == 0) break;
+          value = (value - 1) & care;
+        }
+      }
+    }
+  }
+  return covers;
+}
+
+void SatAtpg::encode_cell(GateId g, std::span<const SatLit> ins,
+                          std::span<const SatLit> outs) {
+  const auto& covers = cover(nl_.gate(g).cell);
+  for (std::size_t k = 0; k < outs.size(); ++k) {
+    for (const Cube& cube : covers[k]) {
+      clause_.clear();
+      for (std::size_t i = 0; i < ins.size(); ++i) {
+        if (!((cube.care >> i) & 1u)) continue;
+        const bool bit = ((cube.value >> i) & 1u) != 0;
+        clause_.push_back(bit ? ~ins[i] : ins[i]);
+      }
+      clause_.push_back(cube.out ? outs[k] : ~outs[k]);
+      solver_.add_clause(clause_);
+    }
+  }
+}
+
+void SatAtpg::begin() {
+  ++stats_.calls;
+  solver_.reset();
+  // Undo the previous instance's marks (O(its region), not O(netlist)).
+  for (const NetId n : good_nets_) {
+    good_var_[n.value()] = kNoVar;
+    const auto& net = nl_.net(n);
+    if (net.has_gate_driver()) gate_done_[net.driver_gate.value()] = 0;
+  }
+  for (const GateId g : cone_gates_) {
+    for (const NetId out : nl_.gate(g).outputs) cone_var_[out.value()] = kNoVar;
+  }
+  good_nets_.clear();
+  cone_gates_.clear();
+  pending_.clear();
+  const_var_ = solver_.new_var();
+  solver_.add_clause({constant(true)});
+}
+
+SatLit SatAtpg::good(NetId n) {
+  std::uint32_t& var = good_var_[n.value()];
+  if (var == kNoVar) {
+    var = solver_.new_var();
+    pending_.push_back(n);
+    good_nets_.push_back(n);
+  }
+  return SatLit::pos(var);
+}
+
+void SatAtpg::close_good() {
+  SatLit ins[kMaxCellInputs];
+  SatLit outs[kMaxCellOutputs];
+  while (!pending_.empty()) {
+    const NetId n = pending_.back();
+    pending_.pop_back();
+    if (is_source(n)) continue;  // free variable
+    const auto& net = nl_.net(n);
+    if (!net.has_gate_driver()) {
+      // Undriven: the fault simulator reads such nets as 0.
+      solver_.add_clause({~SatLit::pos(good_var_[n.value()])});
+      continue;
+    }
+    const GateId g = net.driver_gate;
+    if (gate_done_[g.value()]) continue;
+    gate_done_[g.value()] = 1;
+    const auto& gate = nl_.gate(g);
+    for (std::size_t i = 0; i < gate.fanin.size(); ++i) {
+      ins[i] = good(gate.fanin[i]);
+    }
+    for (std::size_t k = 0; k < gate.outputs.size(); ++k) {
+      outs[k] = good(gate.outputs[k]);
+    }
+    encode_cell(g, {ins, gate.fanin.size()}, {outs, gate.outputs.size()});
+  }
+}
+
+Podem::Outcome SatAtpg::finish(std::vector<V3>* test) {
+  const SatSolver::Result r =
+      solver_.solve(config_.conflict_limit, config_.cancel);
+  stats_.conflicts += solver_.conflicts();
+  if (r == SatSolver::Result::Unsat) {
+    ++stats_.undetectable;
+    return Podem::Outcome::Undetectable;
+  }
+  if (r == SatSolver::Result::Unknown) {
+    ++stats_.aborted;
+    return Podem::Outcome::Aborted;
+  }
+  ++stats_.detected;
+  if (test != nullptr) {
+    test->assign(view_.sources.size(), V3::X);
+    for (std::size_t i = 0; i < view_.sources.size(); ++i) {
+      const std::uint32_t var = good_var_[view_.sources[i].value()];
+      if (var != kNoVar) (*test)[i] = v3_of(solver_.model_value(var));
+    }
+  }
+  return Podem::Outcome::Detected;
+}
+
+Podem::Outcome SatAtpg::justify(std::span<const CondLiteral> lits,
+                                std::vector<V3>* test) {
+  const auto start = Clock::now();
+  begin();
+  for (const CondLiteral& lit : lits) {
+    solver_.add_clause({SatLit::of(good(lit.net).var(), lit.value)});
+  }
+  close_good();
+  const Podem::Outcome r = finish(test);
+  stats_.seconds += seconds_since(start);
+  return r;
+}
+
+Podem::Outcome SatAtpg::detect(const Excitation& exc, std::vector<V3>* test) {
+  const auto start = Clock::now();
+  begin();
+  const NetId victim = exc.victim;
+  // The victim's combinational fanout cone. Each cone net gets three
+  // consecutive variables: its faulty value, its difference d_n (good !=
+  // faulty) and its activity a_n (see the path clauses below). The
+  // victim's are constants: faulty = faulty_value, d = a = 1.
+  pending_.push_back(victim);  // reused as the BFS stack below
+  while (!pending_.empty()) {
+    const NetId n = pending_.back();
+    pending_.pop_back();
+    for (const PinRef& sink : nl_.net(n).sinks) {
+      if (nl_.cell_of(sink.gate).sequential) continue;
+      if (gate_done_[sink.gate.value()]) continue;
+      gate_done_[sink.gate.value()] = 1;
+      cone_gates_.push_back(sink.gate);
+      for (NetId out : nl_.gate(sink.gate).outputs) {
+        cone_var_[out.value()] = solver_.new_var();
+        solver_.new_var();
+        solver_.new_var();
+        pending_.push_back(out);
+      }
+    }
+  }
+  // gate_done_ marked cone gates only to dedupe the walk; the good copy
+  // must still encode them.
+  for (GateId g : cone_gates_) gate_done_[g.value()] = 0;
+
+  const auto in_cone = [&](NetId n) {
+    return n == victim || cone_var_[n.value()] != kNoVar;
+  };
+  const auto faulty = [&](NetId n) {
+    if (n == victim) return constant(exc.faulty_value);
+    return in_cone(n) ? SatLit::pos(cone_var_[n.value()]) : good(n);
+  };
+  const auto diff = [&](NetId n) {
+    return n == victim ? constant(true) : SatLit::pos(cone_var_[n.value()] + 1);
+  };
+  const auto active = [&](NetId n) {
+    return n == victim ? constant(true) : SatLit::pos(cone_var_[n.value()] + 2);
+  };
+
+  solver_.add_clause({SatLit::of(good(victim).var(), !exc.faulty_value)});
+  for (const CondLiteral& lit : exc.lits) {
+    if (lit.frame != 1) continue;
+    solver_.add_clause({SatLit::of(good(lit.net).var(), lit.value)});
+  }
+  // The faulty cone, then Larrabee's active-path clauses. A net differs
+  // only if a cone fanin differs. An active net lies on one chosen
+  // propagation path: it differs, and unless it is observed the path
+  // goes on through one of its sinks. The victim is active, so the path
+  // must reach an observation point. All of this is implied by the
+  // miter, but it lets the solver refute propagation structurally
+  // instead of by enumerating side-input values. (The path needs its own
+  // variable: a difference may die out on a reconvergent branch.)
+  SatLit ins[kMaxCellInputs];
+  SatLit outs[kMaxCellOutputs];
+  observed_.clear();
+  const auto extend = [&](NetId n) {
+    if (is_observed(n)) {
+      observed_.push_back(diff(n));
+      return;
+    }
+    path_.assign(1, ~active(n));
+    for (const PinRef& sink : nl_.net(n).sinks) {
+      if (nl_.cell_of(sink.gate).sequential) continue;
+      for (NetId out : nl_.gate(sink.gate).outputs) {
+        path_.push_back(active(out));
+      }
+    }
+    solver_.add_clause(path_);
+  };
+  extend(victim);
+  for (GateId g : cone_gates_) {
+    const auto& gate = nl_.gate(g);
+    for (std::size_t i = 0; i < gate.fanin.size(); ++i) {
+      ins[i] = faulty(gate.fanin[i]);
+    }
+    for (std::size_t k = 0; k < gate.outputs.size(); ++k) {
+      outs[k] = faulty(gate.outputs[k]);
+    }
+    encode_cell(g, {ins, gate.fanin.size()}, {outs, gate.outputs.size()});
+    for (std::size_t k = 0; k < gate.outputs.size(); ++k) {
+      const NetId out = gate.outputs[k];
+      const SatLit d = diff(out), gd = good(out), f = outs[k];
+      solver_.add_clause({~d, gd, f});
+      solver_.add_clause({~d, ~gd, ~f});
+      solver_.add_clause({d, ~gd, f});
+      solver_.add_clause({d, gd, ~f});
+      solver_.add_clause({~active(out), d});
+      path_.assign(1, ~d);
+      for (NetId in : gate.fanin) {
+        if (in_cone(in)) path_.push_back(diff(in));
+      }
+      solver_.add_clause(path_);
+      extend(out);
+    }
+  }
+  solver_.add_clause(observed_);  // empty: no observation point reachable
+  close_good();
+  const Podem::Outcome r = finish(test);
+  stats_.seconds += seconds_since(start);
+  return r;
+}
+
+}  // namespace dfmres

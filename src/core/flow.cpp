@@ -221,7 +221,7 @@ Expected<std::size_t> DesignFlow::probe_count_impl(
   progress.analyses.fetch_add(1, std::memory_order_relaxed);
   progress.faults_classified.fetch_add(internal.size(),
                                        std::memory_order_relaxed);
-  return result.num_undetectable;
+  return result.num_undetectable + result.num_aborted;
 }
 
 Expected<FlowState> ProbeSession::reanalyze(Netlist netlist,

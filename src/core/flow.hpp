@@ -55,8 +55,12 @@ struct FlowState {
   [[nodiscard]] std::size_t num_undetectable() const {
     return atpg.num_undetectable;
   }
+  [[nodiscard]] std::size_t num_aborted() const { return atpg.num_aborted; }
   [[nodiscard]] double coverage() const {
     return atpg.coverage(universe.size());
+  }
+  [[nodiscard]] double coverage_lower() const {
+    return atpg.coverage_lower(universe.size());
   }
   [[nodiscard]] std::size_t smax() const { return clusters.smax(); }
   /// Fraction of all faults that sit in the largest cluster (%Smax_all).
@@ -140,7 +144,8 @@ class ProbeSession {
                                               const Placement& previous,
                                               bool generate_tests = false);
 
-  /// Number of undetectable *internal* faults of a netlist. Internal
+  /// Number of *internal* faults of a netlist without a test: U + A
+  /// (an aborted fault is no better than an undetectable one). Internal
   /// faults do not depend on placement or routing, so this runs before
   /// PDesign() and gates it (paper Section III-B).
   [[nodiscard]] Expected<std::size_t> count_undetectable_internal(

@@ -34,11 +34,15 @@ std::vector<bool> undet_internal_gates(const FlowState& s) {
   return out;
 }
 
+/// Internal faults without a test: U plus A, the quantity the PDesign()
+/// gate compares (DesignFlow::count_undetectable_internal counts alike),
+/// so turning undetectable faults into aborted ones never looks like a win.
 std::size_t count_undet_internal(const FlowState& s) {
   std::size_t n = 0;
   for (std::uint32_t i = 0; i < s.universe.size(); ++i) {
     n += s.universe.faults[i].scope == FaultScope::Internal &&
-         s.atpg.status[i] == FaultStatus::Undetectable;
+         (s.atpg.status[i] == FaultStatus::Undetectable ||
+          s.atpg.status[i] == FaultStatus::Aborted);
   }
   return n;
 }
@@ -566,7 +570,7 @@ class Procedure {
         m.faults = state->num_faults();
         m.delay = state->timing.critical_delay;
         m.power = state->timing.total_power();
-        if (options_.dedup_candidates) {
+        if (options_.dedup_candidates && may_accept(cur, m)) {
           stash_.emplace(sig, Stash{std::move(*state),
                                     session.take_updates()});
         }
@@ -616,6 +620,14 @@ class Procedure {
         std::move(*candidate), cur.placement, /*generate_tests=*/false));
     if (!state) return std::nullopt;  // die full: area constraint
     return std::move(*state);
+  }
+
+  /// Whether accepts() can pass `m` in either phase. realize() only
+  /// looks up candidates accepts() passed, so the stash keeps just these
+  /// (a probed FlowState is the largest thing the search holds).
+  static bool may_accept(const FlowState& cur, const CandMetrics& m) {
+    return m.undetectable < cur.num_undetectable() ||
+           (m.smax < cur.smax() && m.undetectable <= cur.num_undetectable());
   }
 
   bool accepts(const FlowState& cur, const CandMetrics& m, int phase,
@@ -975,7 +987,7 @@ class Procedure {
             ++report_.full_probes;
             report_.probe_seconds += probe_s;
             absorb_probe_counters(session);
-            if (state) {
+            if (state && may_accept(cur, m)) {
               stash_.emplace(sig, Stash{std::move(*state),
                                         session.take_updates()});
             }

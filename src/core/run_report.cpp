@@ -21,9 +21,11 @@ void write_summary(JsonWriter& w, const StateSummary& s) {
   w.begin_object();
   w.field("faults", static_cast<std::uint64_t>(s.faults));
   w.field("undetectable", static_cast<std::uint64_t>(s.undetectable));
+  w.field("aborted", static_cast<std::uint64_t>(s.aborted));
   w.field("smax", static_cast<std::uint64_t>(s.smax));
   w.field("smax_pct", s.smax_pct);
   w.field("coverage", s.coverage);
+  w.field("coverage_lower", s.coverage_lower);
   w.field("delay", s.delay);
   w.field("power", s.power);
   w.field("tests", static_cast<std::uint64_t>(s.tests));
@@ -36,9 +38,11 @@ StateSummary StateSummary::of(const FlowState& state) {
   StateSummary s;
   s.faults = state.num_faults();
   s.undetectable = state.num_undetectable();
+  s.aborted = state.num_aborted();
   s.smax = state.smax();
   s.smax_pct = state.smax_fraction() * 100.0;
   s.coverage = state.coverage();
+  s.coverage_lower = state.coverage_lower();
   s.delay = state.timing.critical_delay;
   s.power = state.timing.total_power();
   s.tests = state.atpg.tests.size();

@@ -17,9 +17,11 @@ namespace dfmres {
 struct StateSummary {
   std::size_t faults = 0;
   std::size_t undetectable = 0;
+  std::size_t aborted = 0;  ///< A: past the SAT conflict limit
   std::size_t smax = 0;
   double smax_pct = 0.0;  ///< |S_max| as a percentage of all faults
-  double coverage = 0.0;
+  double coverage = 0.0;        ///< 1 - U/F
+  double coverage_lower = 0.0;  ///< 1 - (U + A)/F
   double delay = 0.0;
   double power = 0.0;
   std::size_t tests = 0;

@@ -62,6 +62,13 @@ void MetricsRegistry::absorb(const AtpgCounters& counters,
   add(p + "overlay_dirty_nets", counters.overlay_dirty_nets);
   add(p + "overlay_verified_batches", counters.overlay_verified_batches);
   add(p + "overlay_verify_mismatches", counters.overlay_verify_mismatches);
+  add(p + "podem_handoffs", counters.podem_handoffs);
+  add(p + "sat_calls", counters.sat_calls);
+  add(p + "sat_conflicts", counters.sat_conflicts);
+  add(p + "sat_detected", counters.sat_detected);
+  add(p + "sat_undetectable", counters.sat_undetectable);
+  add(p + "sat_aborted", counters.sat_aborted);
+  observe(p + "sat_seconds", counters.sat_seconds);
   observe(p + "load_seconds", counters.load_seconds);
   observe(p + "phase0_seconds", counters.phase0_seconds);
   observe(p + "phase1_seconds", counters.phase1_seconds);

@@ -82,6 +82,13 @@ void AtpgCounters::merge(const AtpgCounters& other) {
   overlay_dirty_nets += other.overlay_dirty_nets;
   overlay_verified_batches += other.overlay_verified_batches;
   overlay_verify_mismatches += other.overlay_verify_mismatches;
+  podem_handoffs += other.podem_handoffs;
+  sat_calls += other.sat_calls;
+  sat_conflicts += other.sat_conflicts;
+  sat_detected += other.sat_detected;
+  sat_undetectable += other.sat_undetectable;
+  sat_aborted += other.sat_aborted;
+  sat_seconds += other.sat_seconds;
   load_seconds += other.load_seconds;
   phase0_seconds += other.phase0_seconds;
   phase1_seconds += other.phase1_seconds;
@@ -96,7 +103,8 @@ std::string AtpgCounters::summary() const {
       "atpg: %llu patterns, %llu detect_mask calls, %llu prop events, "
       "%llu backtracks, %llu replay drops, %llu podem skips, "
       "%llu cancelled, loads %llu full + %llu overlay (%llu frame bytes), "
-      "phases %.3f/%.3f/%.3f/%.3fs, %d thread%s, W=%d lanes",
+      "sat %llu calls (%llu handoffs, %llu D/%llu U/%llu A, %llu conflicts, "
+      "%.3fs), phases %.3f/%.3f/%.3f/%.3fs, %d thread%s, W=%d lanes",
       static_cast<unsigned long long>(patterns_simulated),
       static_cast<unsigned long long>(detect_mask_calls),
       static_cast<unsigned long long>(propagation_events),
@@ -107,6 +115,12 @@ std::string AtpgCounters::summary() const {
       static_cast<unsigned long long>(full_loads),
       static_cast<unsigned long long>(overlay_loads),
       static_cast<unsigned long long>(frame_bytes_materialized),
+      static_cast<unsigned long long>(sat_calls),
+      static_cast<unsigned long long>(podem_handoffs),
+      static_cast<unsigned long long>(sat_detected),
+      static_cast<unsigned long long>(sat_undetectable),
+      static_cast<unsigned long long>(sat_aborted),
+      static_cast<unsigned long long>(sat_conflicts), sat_seconds,
       phase0_seconds, phase1_seconds, phase2_seconds, phase3_seconds,
       threads_used, threads_used == 1 ? "" : "s", sim_words);
 }
@@ -120,7 +134,11 @@ std::string AtpgCounters::json() const {
       "\"frame_bytes_materialized\": %llu, \"full_loads\": %llu, "
       "\"overlay_loads\": %llu, \"overlay_dirty_nets\": %llu, "
       "\"overlay_verified_batches\": %llu, "
-      "\"overlay_verify_mismatches\": %llu, \"load_seconds\": %.6f, "
+      "\"overlay_verify_mismatches\": %llu, \"podem_handoffs\": %llu, "
+      "\"sat_calls\": %llu, \"sat_conflicts\": %llu, "
+      "\"sat_detected\": %llu, \"sat_undetectable\": %llu, "
+      "\"sat_aborted\": %llu, \"sat_seconds\": %.6f, "
+      "\"load_seconds\": %.6f, "
       "\"phase0_seconds\": %.6f, \"phase1_seconds\": %.6f, "
       "\"phase2_seconds\": %.6f, \"phase3_seconds\": %.6f, "
       "\"threads_used\": %d, \"sim_words\": %d}",
@@ -137,6 +155,12 @@ std::string AtpgCounters::json() const {
       static_cast<unsigned long long>(overlay_dirty_nets),
       static_cast<unsigned long long>(overlay_verified_batches),
       static_cast<unsigned long long>(overlay_verify_mismatches),
+      static_cast<unsigned long long>(podem_handoffs),
+      static_cast<unsigned long long>(sat_calls),
+      static_cast<unsigned long long>(sat_conflicts),
+      static_cast<unsigned long long>(sat_detected),
+      static_cast<unsigned long long>(sat_undetectable),
+      static_cast<unsigned long long>(sat_aborted), sat_seconds,
       load_seconds, phase0_seconds, phase1_seconds, phase2_seconds,
       phase3_seconds, threads_used, sim_words);
 }

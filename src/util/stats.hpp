@@ -63,10 +63,17 @@ struct AtpgCounters {
   std::uint64_t overlay_dirty_nets = 0;   ///< dirty slots over overlay loads
   std::uint64_t overlay_verified_batches = 0;  ///< verify-mode comparisons
   std::uint64_t overlay_verify_mismatches = 0; ///< overlay ≠ full reload
+  std::uint64_t podem_handoffs = 0;       ///< PODEM aborts handed to SAT
+  std::uint64_t sat_calls = 0;            ///< SAT justify/detect instances
+  std::uint64_t sat_conflicts = 0;        ///< CDCL conflicts over all calls
+  std::uint64_t sat_detected = 0;         ///< calls that found a test
+  std::uint64_t sat_undetectable = 0;     ///< calls that proved UNSAT
+  std::uint64_t sat_aborted = 0;          ///< calls past the conflict limit
+  double sat_seconds = 0.0;               ///< wall time inside SAT calls
   double load_seconds = 0.0;              ///< wall time inside batch loads
   double phase0_seconds = 0.0;            ///< seed test replay (warm start)
   double phase1_seconds = 0.0;            ///< random patterns + dropping
-  double phase2_seconds = 0.0;            ///< PODEM + per-test drop sweeps
+  double phase2_seconds = 0.0;            ///< PODEM + SAT + drop sweeps
   double phase3_seconds = 0.0;            ///< reverse-order compaction
   int threads_used = 1;                   ///< resolved worker lane count
   int sim_words = 1;                      ///< SimWord width W of the kernel

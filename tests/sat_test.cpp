@@ -1,0 +1,263 @@
+// The SAT stage: CDCL solver units, then a PODEM-vs-SAT differential
+// over every fault of two benchmark blocks.
+
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "src/atpg/engine.hpp"
+#include "src/atpg/excitation.hpp"
+#include "src/atpg/fault_sim.hpp"
+#include "src/atpg/podem.hpp"
+#include "src/atpg/sat.hpp"
+#include "src/atpg/sat_atpg.hpp"
+#include "src/circuits/benchmarks.hpp"
+#include "src/core/flow.hpp"
+#include "src/library/osu018.hpp"
+#include "src/util/rng.hpp"
+
+namespace dfmres {
+namespace {
+
+using Clause = std::vector<SatLit>;
+
+/// Pigeonhole principle: `pigeons` pigeons into `holes` holes, every
+/// pigeon somewhere, no hole shared. UNSAT iff pigeons > holes.
+std::vector<Clause> pigeonhole(std::uint32_t pigeons, std::uint32_t holes) {
+  const auto var = [&](std::uint32_t p, std::uint32_t h) {
+    return p * holes + h;
+  };
+  std::vector<Clause> out;
+  for (std::uint32_t p = 0; p < pigeons; ++p) {
+    Clause c;
+    for (std::uint32_t h = 0; h < holes; ++h) c.push_back(SatLit::pos(var(p, h)));
+    out.push_back(c);
+  }
+  for (std::uint32_t h = 0; h < holes; ++h) {
+    for (std::uint32_t p = 0; p < pigeons; ++p) {
+      for (std::uint32_t q = p + 1; q < pigeons; ++q) {
+        out.push_back({SatLit::neg(var(p, h)), SatLit::neg(var(q, h))});
+      }
+    }
+  }
+  return out;
+}
+
+void load(SatSolver& s, std::uint32_t vars, const std::vector<Clause>& cnf) {
+  s.reset();
+  for (std::uint32_t v = 0; v < vars; ++v) s.new_var();
+  for (const Clause& c : cnf) s.add_clause(c);
+}
+
+bool satisfies(const std::vector<Clause>& cnf,
+               const std::vector<bool>& model) {
+  for (const Clause& c : cnf) {
+    bool any = false;
+    for (const SatLit l : c) any = any || model[l.var()] != l.negated();
+    if (!any) return false;
+  }
+  return true;
+}
+
+std::vector<bool> model_of(const SatSolver& s, std::uint32_t vars) {
+  std::vector<bool> m(vars);
+  for (std::uint32_t v = 0; v < vars; ++v) m[v] = s.model_value(v);
+  return m;
+}
+
+TEST(SatSolver, PigeonholeFiveIntoFourIsUnsat) {
+  SatSolver s;
+  load(s, 20, pigeonhole(5, 4));
+  EXPECT_EQ(s.solve(1'000'000), SatSolver::Result::Unsat);
+  load(s, 20, pigeonhole(4, 5));
+  ASSERT_EQ(s.solve(1'000'000), SatSolver::Result::Sat);
+  EXPECT_TRUE(satisfies(pigeonhole(4, 5), model_of(s, 20)));
+}
+
+TEST(SatSolver, Random3SatMatchesBruteForce) {
+  Rng rng(2024);
+  SatSolver s;  // reused across instances, as the ATPG stage does
+  int sat = 0, unsat = 0;
+  for (int round = 0; round < 300; ++round) {
+    const std::uint32_t n = 3 + static_cast<std::uint32_t>(rng.below(18));
+    // Around the 4.26 clauses/variable threshold: both answers occur.
+    const std::size_t m = n * 4 + rng.below(2 * n + 1);
+    std::vector<Clause> cnf(m);
+    for (Clause& c : cnf) {
+      for (int k = 0; k < 3; ++k) {
+        c.push_back(SatLit::of(static_cast<std::uint32_t>(rng.below(n)),
+                               rng.flip()));
+      }
+    }
+    bool brute = false;
+    std::vector<bool> model(n);
+    for (std::uint32_t bits = 0; bits < (1u << n) && !brute; ++bits) {
+      for (std::uint32_t v = 0; v < n; ++v) model[v] = (bits >> v) & 1u;
+      brute = satisfies(cnf, model);
+    }
+    load(s, n, cnf);
+    const SatSolver::Result r = s.solve(1'000'000);
+    ASSERT_NE(r, SatSolver::Result::Unknown) << "round " << round;
+    ASSERT_EQ(r == SatSolver::Result::Sat, brute) << "round " << round;
+    if (brute) {
+      EXPECT_TRUE(satisfies(cnf, model_of(s, n))) << "round " << round;
+      ++sat;
+    } else {
+      ++unsat;
+    }
+  }
+  EXPECT_GT(sat, 30);
+  EXPECT_GT(unsat, 30);
+}
+
+TEST(SatSolver, RunsAreDeterministic) {
+  Rng rng(7);
+  std::vector<Clause> cnf(170);
+  for (Clause& c : cnf) {
+    for (int k = 0; k < 3; ++k) {
+      c.push_back(SatLit::of(static_cast<std::uint32_t>(rng.below(40)),
+                             rng.flip()));
+    }
+  }
+  SatSolver a, b;
+  load(a, 40, cnf);
+  const SatSolver::Result ra = a.solve(1'000'000);
+  // b first solves an unrelated instance: reuse must not leak state.
+  load(b, 20, pigeonhole(5, 4));
+  (void)b.solve(1'000'000);
+  load(b, 40, cnf);
+  const SatSolver::Result rb = b.solve(1'000'000);
+  EXPECT_EQ(ra, rb);
+  EXPECT_EQ(a.conflicts(), b.conflicts());
+  if (ra == SatSolver::Result::Sat) {
+    EXPECT_EQ(model_of(a, 40), model_of(b, 40));
+  }
+}
+
+TEST(SatSolver, LearntClauseReductionKeepsProofsSound) {
+  // Past 2000 learnt clauses the solver halves its learnt database and
+  // compacts the arena, relinking every watch: the answers must survive.
+  SatSolver s;
+  load(s, 72, pigeonhole(9, 8));
+  EXPECT_EQ(s.solve(10'000'000), SatSolver::Result::Unsat);
+  EXPECT_GT(s.conflicts(), 10'000u) << "reduction never ran";
+  load(s, 72, pigeonhole(8, 9));
+  ASSERT_EQ(s.solve(10'000'000), SatSolver::Result::Sat);
+  EXPECT_TRUE(satisfies(pigeonhole(8, 9), model_of(s, 72)));
+}
+
+TEST(SatSolver, BudgetExhaustionIsUnknown) {
+  SatSolver s;
+  load(s, 56, pigeonhole(8, 7));
+  EXPECT_EQ(s.solve(10), SatSolver::Result::Unknown);
+  EXPECT_EQ(s.conflicts(), 11u);
+}
+
+TEST(SatSolver, CancelledRunIsUnknown) {
+  SatSolver s;
+  load(s, 90, pigeonhole(10, 9));
+  CancelToken cancel;
+  cancel.cancel();
+  EXPECT_EQ(s.solve(1'000'000'000, &cancel), SatSolver::Result::Unknown);
+  EXPECT_LE(s.conflicts(), 64u);
+}
+
+TEST(SatSolver, ContradictoryUnitsAreUnsat) {
+  SatSolver s;
+  s.reset();
+  const std::uint32_t v = s.new_var();
+  EXPECT_TRUE(s.add_clause({SatLit::pos(v)}));
+  EXPECT_FALSE(s.add_clause({SatLit::neg(v)}));
+  EXPECT_EQ(s.solve(100), SatSolver::Result::Unsat);
+}
+
+/// Completes a V3 assignment with random don't-cares.
+std::vector<std::uint8_t> complete(const std::vector<V3>& assign,
+                                   std::size_t width, Rng& rng) {
+  std::vector<std::uint8_t> out(width);
+  for (std::size_t i = 0; i < width; ++i) {
+    out[i] = assign.empty() || assign[i] == V3::X ? (rng.flip() ? 1 : 0)
+                                                  : assign[i] == V3::One;
+  }
+  return out;
+}
+
+/// Every excitation of every fault: SAT must decide it within 10^6
+/// conflicts, agree with PODEM wherever PODEM decides within 10^4
+/// backtracks, and every SAT test must detect its fault in a fresh fault
+/// simulator. (PODEM's hard targets cost ~10 us per backtrack: at 10^6
+/// backtracks the sparc_tlu differential alone runs for over six
+/// minutes.)
+void differential(std::string_view block) {
+  FlowOptions options;
+  options.atpg.num_threads = 1;
+  DesignFlow flow(osu018_library(), options);
+  const FlowState s = flow.run_initial(build_benchmark(block).value()).value();
+  const CombView view = CombView::build(s.netlist);
+  Podem podem(s.netlist, view, {10'000});
+  SatAtpg sat(s.netlist, view, {1'000'000});
+  FaultSimulator fsim(s.netlist, view);
+  Rng rng(99);
+  std::size_t compared = 0, detected = 0, undetectable = 0;
+  std::size_t podem_aborted = 0;
+  for (const Fault& fault : s.universe.faults) {
+    for (const Excitation& exc : build_excitations(fault, s.netlist, flow.udfm())) {
+      std::vector<CondLiteral> frame0;
+      for (const CondLiteral& lit : exc.lits) {
+        if (lit.frame == 0) frame0.push_back(lit);
+      }
+      std::vector<V3> p0, s0, p1, s1;
+      if (!frame0.empty()) {
+        const auto pj = podem.justify(frame0, &p0);
+        const auto sj = sat.justify(frame0, &s0);
+        ASSERT_NE(sj, Podem::Outcome::Aborted) << block;
+        if (pj == Podem::Outcome::Aborted) {
+          ++podem_aborted;
+        } else {
+          ASSERT_EQ(pj, sj) << block << " frame-0 justify, victim "
+                            << exc.victim.value();
+        }
+        if (sj == Podem::Outcome::Undetectable) continue;
+      }
+      const auto sd = sat.detect(exc, &s1);
+      ASSERT_NE(sd, Podem::Outcome::Aborted) << block;
+      const auto pd = podem.detect(exc, &p1);
+      if (pd == Podem::Outcome::Aborted) {
+        ++podem_aborted;
+      } else {
+        ASSERT_EQ(pd, sd) << block << " detect, victim "
+                          << exc.victim.value();
+      }
+      ++compared;
+      if (sd != Podem::Outcome::Detected) {
+        ++undetectable;
+        continue;
+      }
+      ++detected;
+      const std::vector<TestPattern> test{
+          {complete(s0, view.sources.size(), rng),
+           complete(s1, view.sources.size(), rng)}};
+      fsim.load(test, 0, 1);
+      const Excitation one[] = {exc};
+      EXPECT_NE(fsim.detect_mask(one), 0u)
+          << block << " SAT test misses victim " << exc.victim.value();
+    }
+  }
+  EXPECT_GT(detected, 100u) << block;
+  EXPECT_GT(undetectable, 0u) << block;
+  EXPECT_EQ(sat.stats().aborted, 0u);
+  EXPECT_EQ(compared, detected + undetectable);
+  std::printf("%s: %zu excitations, %zu D / %zu U by SAT, %zu PODEM aborts\n",
+              std::string(block).c_str(), compared, detected, undetectable,
+              podem_aborted);
+}
+
+TEST(SatAtpg, AgreesWithPodemOnSparcTlu) { differential("sparc_tlu"); }
+
+TEST(SatAtpg, AgreesWithPodemOnTv80) { differential("tv80"); }
+
+}  // namespace
+}  // namespace dfmres

@@ -5,14 +5,16 @@
 // contract on full pipelines over two different seed blocks.
 //
 // Bit-identical status comparison is only meaningful when no fault hits
-// the PODEM backtrack limit (an Aborted in one mode can be a Detected in
-// the other without changing U, %Smax or coverage), so every identity
-// test also asserts num_aborted == 0.
+// the search limit (an Aborted in one mode can be a Detected in the
+// other without changing U, %Smax or coverage). With the SAT stage every
+// fault gets a complete verdict, so each identity test asserts
+// num_aborted == 0 — including on sparc_tlu, which used to abort.
 
 #include <gtest/gtest.h>
 
 #include <string>
 
+#include "src/circuits/benchmarks.hpp"
 #include "src/circuits/builder.hpp"
 #include "src/core/flow.hpp"
 #include "src/core/resynthesis.hpp"
@@ -55,7 +57,7 @@ Netlist block_b() {
 FlowOptions flow_options(bool warm, int threads) {
   FlowOptions options;
   options.atpg.random_batches = 4;
-  options.atpg.backtrack_limit = 4000;  // high enough: no aborts on these
+  options.atpg.backtrack_limit = 4000;  // SAT conflicts: no aborts here
   options.atpg.num_threads = threads;
   options.warm_start = warm;
   return options;
@@ -155,13 +157,14 @@ TEST(WarmStart, SerialVsParallelLadderIdentity) {
   }
 }
 
-TEST(WarmStart, CachedStatusesMatchColdRecomputeAfterRewrite) {
-  // The FaultStatusCache invariant, end to end: after a
-  // function-preserving rewrite, a warm re-analysis (replay + cone trust
-  // + cache) classifies every fault exactly as a cold flow that has
-  // never seen the design.
+/// The FaultStatusCache invariant, end to end: after a
+/// function-preserving rewrite, a warm re-analysis (replay + cone trust
+/// + cache) classifies every fault exactly as a cold flow that has never
+/// seen the design.
+void expect_cached_statuses_match_cold(const Netlist& rtl) {
   DesignFlow warm_flow(osu018_library(), flow_options(true, 1));
-  const FlowState original = warm_flow.run_initial(block_a()).value();
+  const FlowState original = warm_flow.run_initial(rtl).value();
+  ASSERT_EQ(original.atpg.num_aborted, 0u);
   const Netlist edited = remap_one_gate(original.netlist);
 
   auto warm = warm_flow.analyze(AnalysisRequest::incremental(
@@ -180,6 +183,15 @@ TEST(WarmStart, CachedStatusesMatchColdRecomputeAfterRewrite) {
     ASSERT_EQ(warm->universe.faults[i].key(), cold->universe.faults[i].key());
     EXPECT_EQ(warm->atpg.status[i], cold->atpg.status[i]) << "fault " << i;
   }
+}
+
+TEST(WarmStart, CachedStatusesMatchColdRecomputeAfterRewrite) {
+  expect_cached_statuses_match_cold(block_a());
+}
+
+TEST(WarmStart, CachedStatusesMatchColdRecomputeOnSparcTlu) {
+  // 25 faults aborted here under the 4000-backtrack PODEM alone.
+  expect_cached_statuses_match_cold(build_benchmark("sparc_tlu").value());
 }
 
 TEST(WarmStart, ReplayAndConeCountersAdvance) {

@@ -446,9 +446,10 @@ void print_state(const char* label, const FlowState& s,
                  const FlowState* baseline) {
   const FlowState& ref = baseline ? *baseline : s;
   std::printf(
-      "%-8s F=%-6zu U=%-5zu cov=%6.2f%%  T=%-4zu Smax=%-5zu (%.2f%% of F)  "
-      "delay=%5.1f%% power=%5.1f%%\n",
-      label, s.num_faults(), s.num_undetectable(), 100.0 * s.coverage(),
+      "%-8s F=%-6zu U=%-5zu A=%-4zu cov=%6.2f%%  T=%-4zu Smax=%-5zu "
+      "(%.2f%% of F)  delay=%5.1f%% power=%5.1f%%\n",
+      label, s.num_faults(), s.num_undetectable(), s.num_aborted(),
+      100.0 * s.coverage(),
       s.atpg.tests.size(), s.smax(), 100.0 * s.smax_fraction(),
       100.0 * s.timing.critical_delay / ref.timing.critical_delay,
       100.0 * s.timing.total_power() / ref.timing.total_power());
@@ -950,9 +951,9 @@ int cmd_campaign(int argc, char** argv) {
                   job.status.to_string().c_str());
     } else {
       const FlowState& s = *job.final_state;
-      std::printf("%-16s U=%-5zu cov=%6.2f%%  Smax=%-5zu (%.2f%% of F)  "
-                  "%.1fs%s\n",
-                  job.name.c_str(), s.num_undetectable(),
+      std::printf("%-16s U=%-5zu A=%-4zu cov=%6.2f%%  Smax=%-5zu "
+                  "(%.2f%% of F)  %.1fs%s\n",
+                  job.name.c_str(), s.num_undetectable(), s.num_aborted(),
                   100.0 * s.coverage(), s.smax(), 100.0 * s.smax_fraction(),
                   job.seconds,
                   job.deadline_expired ? "  (deadline expired)" : "");
