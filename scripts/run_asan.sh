@@ -4,9 +4,11 @@
 # address,undefined (see CMakeLists.txt). Runs the suites that exercise
 # the simulator-arena rebinding, the cache overlays and the speculative
 # ladder (warm_start_test), the core flow (core_test), the engine
-# itself (atpg_test), the SAT stage's solver and miter (sat_test: clause
-# arena garbage collection and watch-list reuse across resets), and the
-# copy-on-write probe overlays
+# itself and the flat fault-key table behind the status cache
+# (atpg_test; FaultKeyTable.* drives linear-probe wraparound, slot
+# packing and rehash growth), the SAT stage's solver and miter
+# (sat_test: clause arena garbage collection and watch-list reuse across
+# resets), and the copy-on-write probe overlays
 # (overlay_test — baseline frame aliasing and the per-batch dirty-slot
 # replay are exactly the pointer gymnastics ASan is for). Any report
 # aborts with a non-zero exit.
@@ -28,6 +30,7 @@ ASAN_OPTIONS="$SAN_ENV" UBSAN_OPTIONS="$SAN_ENV" \
   "$BUILD_DIR/tests/warm_start_test"
 ASAN_OPTIONS="$SAN_ENV" UBSAN_OPTIONS="$SAN_ENV" \
   "$BUILD_DIR/tests/core_test"
+# Includes the FaultKeyTable.* differential and growth tests.
 ASAN_OPTIONS="$SAN_ENV" UBSAN_OPTIONS="$SAN_ENV" \
   "$BUILD_DIR/tests/atpg_test"
 # The tv80 differential repeats the sparc_tlu one on a 3x larger block.

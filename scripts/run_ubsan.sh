@@ -3,8 +3,10 @@
 # for the paths that parse untrusted or on-disk bytes: the Verilog
 # front-end (verilog_test), the checkpoint journal reader and the
 # cancellation machinery (resilience_test), plus the netlist core they
-# feed (netlist_test), and the SAT solver's literal/arena arithmetic
-# (sat_test). Narrower and much faster than the combined
+# feed (netlist_test), the SAT solver's literal/arena arithmetic
+# (sat_test), and the flat fault-key table's packing shifts and probe
+# index arithmetic (atpg_test, FaultKeyTable.* only). Narrower and much
+# faster than the combined
 # ASan+UBSan build in run_asan.sh; any report aborts with a non-zero
 # exit. Usage: scripts/run_ubsan.sh [build-dir]
 set -eu
@@ -16,7 +18,7 @@ cmake -B "$BUILD_DIR" -S . -DDFMRES_SANITIZE=undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
   --target verilog_test netlist_test resilience_test simd_kernel_test \
-  sat_test
+  sat_test atpg_test
 
 # Fail loudly on the first report.
 SAN_ENV="halt_on_error=1 exitcode=66"
@@ -25,6 +27,8 @@ UBSAN_OPTIONS="$SAN_ENV" "$BUILD_DIR/tests/netlist_test"
 UBSAN_OPTIONS="$SAN_ENV" "$BUILD_DIR/tests/resilience_test"
 UBSAN_OPTIONS="$SAN_ENV" \
   "$BUILD_DIR/tests/sat_test" --gtest_filter='-SatAtpg.AgreesWithPodemOnTv80'
+UBSAN_OPTIONS="$SAN_ENV" \
+  "$BUILD_DIR/tests/atpg_test" --gtest_filter='FaultKeyTable.*'
 # The portable SimWord kernels lean on fixed-count loops and unaligned
 # uint64 loads; UBSan checks the shifts and pointer math across every
 # width, batch-tail shape included.

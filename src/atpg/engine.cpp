@@ -67,12 +67,20 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
   const std::size_t num_sources = view.sources.size();
   Rng rng(options.seed);
 
-  const auto cached_lookup = [&](const Fault& f) {
-    if (updates) {
-      const FaultStatus s = updates->lookup(f);
+  // All simulators (and the dedupe table below) come from the arena; a
+  // DesignFlow passes a persistent arena so the frame/scratch buffers
+  // survive between calls instead of being reallocated per candidate.
+  FaultSimArena local_arena;
+  FaultSimArena& arena = options.arena ? *options.arena : local_arena;
+
+  // run_atpg reads and writes one table, so a lookup probes it once; an
+  // overlay run reads its private delta first, then the shared base.
+  const auto cached_lookup = [&](const Fault::Key& k) {
+    if (updates != nullptr && updates != base) {
+      const FaultStatus s = updates->lookup(k);
       if (s != FaultStatus::Unknown) return s;
     }
-    return base ? base->lookup(f) : FaultStatus::Unknown;
+    return base ? base->lookup(k) : FaultStatus::Unknown;
   };
   const bool have_seeds = options.seed_tests != nullptr &&
                           !options.seed_tests->empty() &&
@@ -91,21 +99,27 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
   // Distinct physical violations can induce the same logic fault (e.g.
   // several weak vias on one net); classify one representative per key
   // and mirror the verdict onto the duplicates at the end.
-  std::unordered_map<Fault::Key, std::uint32_t> representative;
+  FaultKeyTable<std::uint32_t>& representative = arena.representatives();
+  representative.clear();
   std::vector<std::uint32_t> mirror_of(universe.size(),
                                        std::numeric_limits<std::uint32_t>::max());
+  // Each representative's verdict as the cache read before this run; the
+  // bookkeeping below stores only verdicts that differ from it.
+  std::vector<FaultStatus> prior(universe.size(), FaultStatus::Unknown);
   for (std::uint32_t i = 0; i < universe.size(); ++i) {
     const Fault& f = universe.faults[i];
-    const auto [it, inserted] = representative.emplace(f.key(), i);
+    const Fault::Key key = f.key();
+    const auto [rep, inserted] = representative.try_emplace(key, i);
     if (!inserted) {
-      mirror_of[i] = it->second;
+      mirror_of[i] = *rep;
       continue;
     }
-    const FaultStatus cached = cached_lookup(f);
+    const FaultStatus cached = prior[i] = cached_lookup(key);
     // A cached Aborted proves nothing, so it is retargeted like Unknown.
     if (cached == FaultStatus::Undetectable ||
         (cached == FaultStatus::Detected && !options.generate_tests)) {
       result.status[i] = cached;
+      ++result.counters.memo_hits;
       continue;
     }
     excitations[i] = build_excitations(f, nl, udfm);
@@ -129,11 +143,6 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
   const int num_workers = ThreadPool::resolve_threads(options.num_threads);
   result.counters.threads_used = num_workers;
   ThreadPool& pool = ThreadPool::shared();
-  // All simulators come from the arena (slot 0 = master); a DesignFlow
-  // passes a persistent arena so the frame/scratch buffers survive
-  // between calls instead of being reallocated per candidate.
-  FaultSimArena local_arena;
-  FaultSimArena& arena = options.arena ? *options.arena : local_arena;
   FaultSimulator& simulator = arena.acquire(0, dense);
   simulator.set_cancel(options.cancel);
   std::vector<FaultSimulator*> worker_sims;
@@ -345,8 +354,7 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
     std::vector<std::uint32_t> still;
     still.reserve(targets.size());
     for (const std::uint32_t i : targets) {
-      if (untouched(i) &&
-          cached_lookup(universe.faults[i]) == FaultStatus::Detected) {
+      if (untouched(i) && prior[i] == FaultStatus::Detected) {
         result.status[i] = FaultStatus::Detected;
         ++result.counters.podem_targets_skipped;
       } else {
@@ -617,11 +625,19 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
       case FaultStatus::Aborted: ++result.num_aborted; break;
       case FaultStatus::Unknown: ++result.counters.cancelled_targets; break;
     }
-    // A cancelled run stores nothing: its Unknowns (and any Aborted
-    // produced by the cut-short searches) must not clobber cached
-    // verdicts from complete runs.
-    if (updates && !result.cancelled) {
-      updates->store(universe.faults[i], result.status[i]);
+  }
+  // A cancelled run stores nothing: its Unknowns (and any Aborted
+  // produced by the cut-short searches) must not clobber cached verdicts
+  // from complete runs. Duplicates share their representative's key, and
+  // a verdict equal to the one read before the run is already what
+  // `updates` over `base` returns, so only changed verdicts are written.
+  if (updates && !result.cancelled) {
+    for (std::uint32_t i = 0; i < universe.size(); ++i) {
+      if (mirror_of[i] == std::numeric_limits<std::uint32_t>::max() &&
+          result.status[i] != prior[i]) {
+        updates->store(universe.faults[i].key(), result.status[i]);
+        ++result.counters.verdict_stores;
+      }
     }
   }
   return result;

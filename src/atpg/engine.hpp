@@ -1,12 +1,12 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "src/atpg/fault_sim.hpp"
 #include "src/atpg/podem.hpp"
 #include "src/faults/fault.hpp"
+#include "src/faults/fault_key_table.hpp"
 #include "src/faults/udfm_map.hpp"
 #include "src/util/cancel.hpp"
 #include "src/util/stats.hpp"
@@ -24,15 +24,19 @@ enum class FaultStatus : std::uint8_t {
 /// procedure's rewrites are function-preserving and net/gate ids are
 /// never reused: a fault outside the rewritten region keeps its
 /// excitation, propagation, and therefore its status (see DESIGN.md).
+/// An absent key reads as Unknown.
 struct FaultStatusCache {
-  std::unordered_map<Fault::Key, FaultStatus> map;
+  FaultKeyTable<FaultStatus> table;
 
-  [[nodiscard]] FaultStatus lookup(const Fault& f) const {
-    const auto it = map.find(f.key());
-    return it == map.end() ? FaultStatus::Unknown : it->second;
+  [[nodiscard]] FaultStatus lookup(const Fault::Key& k) const {
+    const FaultStatus* s = table.find(k);
+    return s == nullptr ? FaultStatus::Unknown : *s;
   }
-  void store(const Fault& f, FaultStatus s) { map[f.key()] = s; }
+  void store(const Fault::Key& k, FaultStatus s) {
+    table.insert_or_assign(k, s);
+  }
 };
+static_assert(FaultKeyTable<FaultStatus>::kSlotBytes == 16);
 
 /// Backtracks PODEM may spend on one justify/detect before the target
 /// is handed to the SAT stage. A fixed first-pass budget, not an option.
@@ -137,9 +141,15 @@ struct AtpgResult {
 /// Split-cache variant for speculative evaluations running concurrently
 /// over a shared memo: lookups consult `updates` first and fall back to
 /// the read-only `base`; stores go to `updates` only. Several callers
-/// may share one `base` (concurrent reads of an unmodified map are
+/// may share one `base` (concurrent reads of an unmodified table are
 /// safe) while each owns a private `updates` overlay; the caller
 /// decides which overlays to fold back into the base.
+///
+/// `updates` is a delta: a verdict is stored only when it differs from
+/// what `updates` over `base` read before the run, so the overlay holds
+/// O(edit) entries. Folding it into a base is therefore exact only onto
+/// the very base it was computed against (unchanged in between). With
+/// `base == updates` (run_atpg) every lookup probes the table once.
 [[nodiscard]] AtpgResult run_atpg_overlay(const Netlist& nl,
                                           const FaultUniverse& universe,
                                           const UdfmMap& udfm,

@@ -11,6 +11,7 @@
 #endif
 
 #include "src/atpg/excitation.hpp"
+#include "src/faults/fault_key_table.hpp"
 #include "src/netlist/dense_view.hpp"
 #include "src/netlist/netlist.hpp"
 #include "src/sim/sim_word.hpp"
@@ -387,8 +388,16 @@ class FaultSimArena {
 
   [[nodiscard]] std::size_t size() const { return slots_.size(); }
 
+  /// The engine's per-run duplicate-key table (fault key -> index of the
+  /// representative fault), kept here so its slot array is reused across
+  /// runs instead of reallocated per candidate. Cleared by each run.
+  [[nodiscard]] FaultKeyTable<std::uint32_t>& representatives() {
+    return representatives_;
+  }
+
  private:
   std::vector<std::unique_ptr<FaultSimulator>> slots_;
+  FaultKeyTable<std::uint32_t> representatives_;
 #ifndef NDEBUG
   std::thread::id owner_{};
 #endif

@@ -157,16 +157,24 @@ Expected<FlowState> DesignFlow::probe_reanalyze_impl(
     AtpgCounters* counters) const {
   if (cancel_expired(cancel)) return cancel->to_status();
   TraceSpan probe_span("flow.probe", "flow");
+  // Stage spans as in analyze_committed, so probe time is attributed to
+  // the same layers as committed work.
+  std::optional<TraceSpan> stage;
+  stage.emplace("flow.incremental_place", "flow");
   auto placement = incremental_place(netlist, previous);
   if (!placement) {
     return make_status(StatusCode::kUnsatisfiable,
                        "probe: die cannot absorb the edit to '%s'",
                        netlist.name().c_str());
   }
+  stage.emplace("flow.route", "flow");
   RoutingResult routing = route(netlist, *placement, options_.route);
+  stage.emplace("flow.sta", "flow");
   TimingPower timing = analyze_timing_power(netlist, routing, options_.sta);
+  stage.emplace("flow.extract_faults", "flow");
   FaultUniverse universe =
       extract_dfm_faults(netlist, *placement, routing, udfm_);
+  stage.reset();
   AtpgOptions atpg_options = options_.atpg;
   atpg_options.generate_tests = generate_tests;
   atpg_options.arena = arena;
@@ -187,8 +195,10 @@ Expected<FlowState> DesignFlow::probe_reanalyze_impl(
   progress.probes_committed.fetch_add(1, std::memory_order_relaxed);
   progress.faults_classified.fetch_add(universe.size(),
                                        std::memory_order_relaxed);
+  stage.emplace("flow.cluster", "flow");
   ClusterAnalysis clusters =
       cluster_undetectable(netlist, universe, atpg.status);
+  stage.reset();
   return FlowState{std::move(netlist), std::move(*placement),
                    std::move(routing), std::move(timing),
                    std::move(universe), std::move(atpg),
@@ -201,7 +211,10 @@ Expected<std::size_t> DesignFlow::probe_count_impl(
     const CancelToken* cancel, AtpgCounters* counters) const {
   if (cancel_expired(cancel)) return cancel->to_status();
   TraceSpan probe_span("flow.u_in_probe", "flow");
-  const FaultUniverse internal = extract_internal_faults(nl, udfm_);
+  const FaultUniverse internal = [&] {
+    TraceSpan span("flow.extract_faults", "flow");
+    return extract_internal_faults(nl, udfm_);
+  }();
   AtpgOptions atpg_options = options_.atpg;
   atpg_options.generate_tests = false;
   atpg_options.arena = arena;
@@ -249,7 +262,10 @@ void DesignFlow::rebase_overlays(const Netlist& nl) {
 }
 
 void DesignFlow::commit_updates(const FaultStatusCache& updates) {
-  for (const auto& [key, status] : updates.map) cache_.map[key] = status;
+  updates.table.for_each(
+      [this](const Fault::Key& key, FaultStatus status) {
+        cache_.store(key, status);
+      });
 }
 
 std::vector<std::uint8_t> DesignFlow::cone_untouched_flags(

@@ -227,7 +227,10 @@ class DesignFlow {
   void rebase_overlays(const Netlist& nl);
 
   /// Folds a probe overlay into the flow cache (commit_probe's cache
-  /// half; also used directly by callers that stash overlays).
+  /// half; also used directly by callers that stash overlays). Overlays
+  /// are deltas (see run_atpg_overlay), so `updates` must have been
+  /// computed against the cache as it is now: commit before any other
+  /// write to the cache, or drop the overlay.
   void commit_updates(const FaultStatusCache& updates);
 
   /// Registers rewritten gates with the cone ledger. Needed when a
@@ -269,7 +272,7 @@ class DesignFlow {
   }
   [[nodiscard]] const FlowOptions& options() const { return options_; }
   [[nodiscard]] FaultStatusCache& cache() { return cache_; }
-  void clear_cache() { cache_.map.clear(); }
+  void clear_cache() { cache_.table.clear(); }
 
   /// Library cells ordered by decreasing internal-fault count (the
   /// consideration order of the resynthesis procedure). Sequential cells

@@ -42,6 +42,42 @@ int tightest_family_low(GuidelineCategory cat, int first, int last,
   return best;
 }
 
+/// The internal faults one instance of `spec` contributes, in extraction
+/// order, with `owner` and `victim` left for the caller to fill in.
+std::vector<Fault> cell_fault_template(const CellSpec& spec,
+                                       const CellUdfm& cu) {
+  std::vector<Fault> out;
+  if (spec.sequential || spec.network.empty()) return out;
+  for (std::size_t i = 0; i < cu.faults.size(); ++i) {
+    if (!cell_defect_selected(spec.name, i, spec.network.transistors.size(),
+                              cu.faults[i].defect.kind,
+                              cu.faults[i].patterns.empty())) {
+      continue;
+    }
+    Fault f;
+    f.kind = FaultKind::CellAware;
+    f.scope = FaultScope::Internal;
+    f.cell_output = 0;
+    f.udfm_index = static_cast<std::uint32_t>(i);
+    f.guideline = guideline_for_cell_defect(cu.faults[i].defect);
+    out.push_back(f);
+    // Charge-sharing-masked sites sit at marginal geometries that
+    // co-violate the sibling guidelines of their family; each violation
+    // is counted (ATPG collapses the duplicates by key).
+    if (cu.faults[i].patterns.empty()) {
+      for (int extra = 1; extra <= 2; ++extra) {
+        Fault dup = f;
+        dup.guideline = guideline_for_cell_defect(
+            {cu.faults[i].defect.kind,
+             static_cast<std::uint16_t>(cu.faults[i].defect.a + extra),
+             cu.faults[i].defect.b});
+        out.push_back(dup);
+      }
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 std::size_t internal_fault_count(const Library& lib, const UdfmMap& udfm,
@@ -61,40 +97,24 @@ std::size_t internal_fault_count(const Library& lib, const UdfmMap& udfm,
 
 FaultUniverse extract_internal_faults(const Netlist& nl,
                                       const UdfmMap& udfm) {
+  // Which defects of a cell are selected, and their guideline ids, depend
+  // only on the cell: each cell in use gets its fault template built once
+  // per call, which every instance then copies.
+  const Library& lib = nl.library();
+  std::vector<std::vector<Fault>> templates(lib.num_cells());
+  std::vector<std::uint8_t> built(lib.num_cells(), 0);
   FaultUniverse universe;
   for (GateId g : nl.live_gates()) {
-    const CellSpec& spec = nl.cell_of(g);
-    if (spec.sequential || spec.network.empty()) continue;
-    const CellUdfm& cu = udfm.of(nl.gate(g).cell);
-    for (std::size_t i = 0; i < cu.faults.size(); ++i) {
-      if (!cell_defect_selected(spec.name, i,
-                                spec.network.transistors.size(),
-                                cu.faults[i].defect.kind,
-                                cu.faults[i].patterns.empty())) {
-        continue;
-      }
-      Fault f;
-      f.kind = FaultKind::CellAware;
-      f.scope = FaultScope::Internal;
+    const CellId cell = nl.gate(g).cell;
+    if (!built[cell.value()]) {
+      built[cell.value()] = 1;
+      templates[cell.value()] = cell_fault_template(lib.cell(cell),
+                                                    udfm.of(cell));
+    }
+    for (Fault f : templates[cell.value()]) {
       f.owner = g;
       f.victim = nl.gate(g).outputs[0];
-      f.cell_output = 0;
-      f.udfm_index = static_cast<std::uint32_t>(i);
-      f.guideline = guideline_for_cell_defect(cu.faults[i].defect);
       universe.faults.push_back(f);
-      // Charge-sharing-masked sites sit at marginal geometries that
-      // co-violate the sibling guidelines of their family; each
-      // violation is counted (ATPG collapses the duplicates by key).
-      if (cu.faults[i].patterns.empty()) {
-        for (int extra = 1; extra <= 2; ++extra) {
-          Fault dup = f;
-          dup.guideline = guideline_for_cell_defect(
-              {cu.faults[i].defect.kind,
-               static_cast<std::uint16_t>(cu.faults[i].defect.a + extra),
-               cu.faults[i].defect.b});
-          universe.faults.push_back(dup);
-        }
-      }
     }
   }
   return universe;

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "src/util/ids.hpp"
@@ -66,22 +65,6 @@ struct Fault {
 [[nodiscard]] std::vector<GateId> corresponding_gates(const Fault& fault,
                                                       const Netlist& nl);
 
-struct FaultKeyHash {
-  std::size_t operator()(const Fault::Key& k) const {
-    std::size_t h = k.kind * 0x9e3779b97f4a7c15ULL;
-    const auto mix = [&h](std::uint64_t v) {
-      h ^= (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
-    };
-    mix(k.bridge_type);
-    mix(k.victim);
-    mix(k.aggressor);
-    mix(k.owner);
-    mix(k.udfm_index);
-    mix(k.value);
-    return h;
-  }
-};
-
 /// The complete DFM fault universe of one placed-and-routed netlist.
 struct FaultUniverse {
   std::vector<Fault> faults;
@@ -95,12 +78,3 @@ struct FaultUniverse {
 };
 
 }  // namespace dfmres
-
-namespace std {
-template <>
-struct hash<dfmres::Fault::Key> {
-  size_t operator()(const dfmres::Fault::Key& k) const {
-    return dfmres::FaultKeyHash{}(k);
-  }
-};
-}  // namespace std

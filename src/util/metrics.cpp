@@ -68,6 +68,8 @@ void MetricsRegistry::absorb(const AtpgCounters& counters,
   add(p + "sat_detected", counters.sat_detected);
   add(p + "sat_undetectable", counters.sat_undetectable);
   add(p + "sat_aborted", counters.sat_aborted);
+  add(p + "memo_hits", counters.memo_hits);
+  add(p + "verdict_stores", counters.verdict_stores);
   observe(p + "sat_seconds", counters.sat_seconds);
   observe(p + "load_seconds", counters.load_seconds);
   observe(p + "phase0_seconds", counters.phase0_seconds);

@@ -88,6 +88,8 @@ void AtpgCounters::merge(const AtpgCounters& other) {
   sat_detected += other.sat_detected;
   sat_undetectable += other.sat_undetectable;
   sat_aborted += other.sat_aborted;
+  memo_hits += other.memo_hits;
+  verdict_stores += other.verdict_stores;
   sat_seconds += other.sat_seconds;
   load_seconds += other.load_seconds;
   phase0_seconds += other.phase0_seconds;

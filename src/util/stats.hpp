@@ -69,6 +69,8 @@ struct AtpgCounters {
   std::uint64_t sat_detected = 0;         ///< calls that found a test
   std::uint64_t sat_undetectable = 0;     ///< calls that proved UNSAT
   std::uint64_t sat_aborted = 0;          ///< calls past the conflict limit
+  std::uint64_t memo_hits = 0;      ///< faults resolved from the cache alone
+  std::uint64_t verdict_stores = 0; ///< verdicts written to cache/overlay
   double sat_seconds = 0.0;               ///< wall time inside SAT calls
   double load_seconds = 0.0;              ///< wall time inside batch loads
   double phase0_seconds = 0.0;            ///< seed test replay (warm start)

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <unordered_map>
 
 #include "src/atpg/engine.hpp"
 #include "src/atpg/excitation.hpp"
@@ -10,6 +11,7 @@
 #include "src/atpg/podem.hpp"
 #include "src/circuits/benchmarks.hpp"
 #include "src/dfm/checker.hpp"
+#include "src/faults/fault_key_table.hpp"
 #include "src/library/osu018.hpp"
 #include "src/sim/parallel_sim.hpp"
 #include "src/synth/mapper.hpp"
@@ -764,6 +766,205 @@ TEST(Engine, CacheReproducesStatuses) {
   for (std::size_t i = 0; i < fresh.status.size(); ++i) {
     EXPECT_EQ(fresh.status[i], cached.status[i]) << i;
   }
+}
+
+// ---- FaultKeyTable: the flat table behind the status cache ----
+
+constexpr std::uint32_t kNoId = NetId::kInvalid;
+constexpr auto kBridgeKind = static_cast<std::uint8_t>(FaultKind::Bridge);
+constexpr auto kCellAwareKind = static_cast<std::uint8_t>(FaultKind::CellAware);
+
+/// A random key that keeps the packing invariant (aggressor only on
+/// bridges, owner only on cell-aware faults); 1 in 16 ids is the
+/// invalid sentinel.
+Fault::Key random_key(Rng& rng) {
+  const auto id = [&rng] {
+    return rng.below(16) == 0 ? kNoId
+                              : static_cast<std::uint32_t>(rng.below(40000));
+  };
+  Fault::Key k{};
+  k.kind = static_cast<std::uint8_t>(rng.below(4));
+  k.bridge_type = static_cast<std::uint8_t>(rng.below(2));
+  k.victim = id();
+  k.aggressor = k.kind == kBridgeKind ? id() : kNoId;
+  k.owner = k.kind == kCellAwareKind ? id() : kNoId;
+  k.udfm_index = rng.below(8) == 0 ? static_cast<std::uint32_t>(rng.next())
+                                   : static_cast<std::uint32_t>(rng.below(40));
+  k.value = rng.flip();
+  return k;
+}
+
+/// Valid keys that differ from `k` in exactly one field.
+std::vector<Fault::Key> one_field_neighbours(const Fault::Key& k) {
+  std::vector<Fault::Key> out;
+  const auto with = [&](auto edit) {
+    Fault::Key n = k;
+    edit(n);
+    out.push_back(n);
+  };
+  if (k.aggressor == kNoId && k.owner == kNoId) {
+    for (std::uint8_t kind = 0; kind < 4; ++kind) {
+      if (kind != k.kind) with([kind](Fault::Key& n) { n.kind = kind; });
+    }
+  }
+  with([](Fault::Key& n) { n.bridge_type ^= 1; });
+  with([](Fault::Key& n) { n.value = !n.value; });
+  with([](Fault::Key& n) { n.victim ^= 1; });
+  with([](Fault::Key& n) { n.victim = n.victim == kNoId ? 0 : kNoId; });
+  with([](Fault::Key& n) { n.udfm_index ^= 1; });
+  with([](Fault::Key& n) { n.udfm_index ^= 0x80000000u; });
+  if (k.kind == kBridgeKind) {
+    with([](Fault::Key& n) { n.aggressor ^= 1; });
+    with([](Fault::Key& n) { n.aggressor = n.aggressor == kNoId ? 0 : kNoId; });
+  }
+  if (k.kind == kCellAwareKind) {
+    with([](Fault::Key& n) { n.owner ^= 1; });
+    with([](Fault::Key& n) { n.owner = n.owner == kNoId ? 0 : kNoId; });
+  }
+  return out;
+}
+
+/// Hash for the std::unordered_map references the table is checked
+/// against.
+struct RefKeyHash {
+  std::size_t operator()(const Fault::Key& k) const {
+    const std::hash<std::uint64_t> h;
+    return h((std::uint64_t{k.victim} << 32) | k.aggressor) * 31 +
+           h((std::uint64_t{k.owner} << 32) | k.udfm_index) * 7 +
+           static_cast<std::size_t>(k.kind << 2 | k.bridge_type << 1 |
+                                    static_cast<int>(k.value));
+  }
+};
+using RefMap = std::unordered_map<Fault::Key, std::uint32_t, RefKeyHash>;
+
+TEST(FaultKeyTable, MatchesUnorderedMapOnRandomKeys) {
+  Rng rng(2024);
+  FaultKeyTable<std::uint32_t> table;
+  RefMap ref;
+  std::vector<Fault::Key> seen;
+  std::size_t neighbour_ops = 0;
+  for (std::uint32_t op = 0; op < 25000; ++op) {
+    // Every key comes with all its one-field neighbours, so each
+    // single-field difference lands next to a live entry; a quarter of
+    // the rounds revisit the neighbourhood of an earlier key.
+    const Fault::Key centre = !seen.empty() && rng.below(4) == 0
+                                  ? seen[rng.below(seen.size())]
+                                  : random_key(rng);
+    std::vector<Fault::Key> batch = one_field_neighbours(centre);
+    neighbour_ops += batch.size();
+    batch.push_back(centre);
+    if (seen.size() < 4096) seen.push_back(centre);
+    for (const Fault::Key& k : batch) {
+      const std::uint32_t v = static_cast<std::uint32_t>(rng.next());
+      switch (rng.below(3)) {
+        case 0: {
+          const auto [slot, inserted] = table.try_emplace(k, v);
+          const auto [it, ref_inserted] = ref.try_emplace(k, v);
+          ASSERT_EQ(inserted, ref_inserted);
+          ASSERT_EQ(*slot, it->second);
+          break;
+        }
+        case 1:
+          table.insert_or_assign(k, v);
+          ref.insert_or_assign(k, v);
+          break;
+        default: {
+          const std::uint32_t* got = table.find(k);
+          const auto it = ref.find(k);
+          ASSERT_EQ(got != nullptr, it != ref.end());
+          if (got != nullptr) {
+            ASSERT_EQ(*got, it->second);
+          }
+        }
+      }
+      ASSERT_EQ(table.size(), ref.size());
+    }
+  }
+  EXPECT_GT(neighbour_ops, 100000u);
+  EXPECT_GT(ref.size(), 100000u);
+  for (const auto& [k, v] : ref) {
+    const std::uint32_t* got = table.find(k);
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(*got, v);
+  }
+}
+
+TEST(FaultKeyTable, OverwriteKeepsOneEntry) {
+  FaultKeyTable<FaultStatus> table;
+  Fault f;
+  f.kind = FaultKind::Bridge;
+  f.victim = NetId{7};
+  f.aggressor = NetId{9};
+  table.insert_or_assign(f.key(), FaultStatus::Aborted);
+  table.insert_or_assign(f.key(), FaultStatus::Detected);
+  EXPECT_FALSE(table.try_emplace(f.key(), FaultStatus::Undetectable).second);
+  EXPECT_EQ(table.size(), 1u);
+  ASSERT_NE(table.find(f.key()), nullptr);
+  EXPECT_EQ(*table.find(f.key()), FaultStatus::Detected);
+  // The same nets with victim and aggressor swapped are another fault.
+  std::swap(f.victim, f.aggressor);
+  EXPECT_EQ(table.find(f.key()), nullptr);
+}
+
+TEST(FaultKeyTable, GrowthAcrossRehashesKeepsEveryEntry) {
+  Rng rng(77);
+  FaultKeyTable<std::uint32_t> table;
+  std::vector<Fault::Key> keys;
+  int rehashes = 0;
+  for (std::uint32_t i = 0; i < 20000; ++i) {
+    const Fault::Key k = random_key(rng);
+    const std::size_t before = table.capacity();
+    if (!table.try_emplace(k, i).second) continue;
+    keys.push_back(k);
+    if (table.capacity() == before) continue;
+    ++rehashes;
+    EXPECT_EQ(table.capacity() & (table.capacity() - 1), 0u);
+    EXPECT_LE(table.size() * 10, table.capacity() * 7);
+    for (const Fault::Key& old : keys) ASSERT_NE(table.find(old), nullptr);
+  }
+  EXPECT_GE(rehashes, 8);
+  EXPECT_EQ(table.size(), keys.size());
+}
+
+TEST(FaultKeyTable, ForEachVisitsEachKeyOnce) {
+  Rng rng(5);
+  FaultKeyTable<std::uint32_t> table;
+  RefMap ref;
+  for (std::uint32_t i = 0; i < 5000; ++i) {
+    const Fault::Key k = random_key(rng);
+    table.insert_or_assign(k, i);
+    ref.insert_or_assign(k, i);
+  }
+  std::unordered_map<Fault::Key, int, RefKeyHash> visits;
+  table.for_each([&](const Fault::Key& k, std::uint32_t v) {
+    ++visits[k];
+    const auto it = ref.find(k);
+    ASSERT_NE(it, ref.end());
+    EXPECT_EQ(v, it->second);
+  });
+  EXPECT_EQ(visits.size(), ref.size());
+  for (const auto& [k, n] : visits) EXPECT_EQ(n, 1);
+}
+
+TEST(FaultKeyTable, ClearDropsEntriesAndKeepsCapacity) {
+  Rng rng(11);
+  FaultKeyTable<FaultStatus> table;
+  std::vector<Fault::Key> keys;
+  for (int i = 0; i < 1000; ++i) {
+    keys.push_back(random_key(rng));
+    table.insert_or_assign(keys.back(), FaultStatus::Undetectable);
+  }
+  const std::size_t capacity = table.capacity();
+  table.clear();
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.capacity(), capacity);
+  for (const Fault::Key& k : keys) EXPECT_EQ(table.find(k), nullptr);
+  int visited = 0;
+  table.for_each([&](const Fault::Key&, FaultStatus) { ++visited; });
+  EXPECT_EQ(visited, 0);
+  table.insert_or_assign(keys.front(), FaultStatus::Detected);
+  EXPECT_EQ(table.size(), 1u);
+  EXPECT_EQ(*table.find(keys.front()), FaultStatus::Detected);
 }
 
 }  // namespace

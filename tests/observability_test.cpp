@@ -293,12 +293,16 @@ TEST(Metrics, AbsorbAtpgCounters) {
   counters.detect_mask_calls = 9001;
   counters.phase2_seconds = 1.5;
   counters.threads_used = 4;
+  counters.memo_hits = 40;
+  counters.verdict_stores = 3;
 
   MetricsRegistry registry;
   registry.absorb(counters);
   registry.absorb(counters);  // second run accumulates
   EXPECT_EQ(registry.counter("atpg.patterns_simulated"), 256u);
   EXPECT_EQ(registry.counter("atpg.detect_mask_calls"), 18002u);
+  EXPECT_EQ(registry.counter("atpg.memo_hits"), 80u);
+  EXPECT_EQ(registry.counter("atpg.verdict_stores"), 6u);
   EXPECT_EQ(registry.histogram_stats("atpg.phase2_seconds").count(), 2u);
   EXPECT_DOUBLE_EQ(registry.histogram_stats("atpg.phase2_seconds").sum(), 3.0);
   EXPECT_DOUBLE_EQ(registry.gauge("atpg.threads_used"), 4.0);

@@ -185,9 +185,14 @@ TEST(Stats, AtpgCountersMergeAndFormat) {
   b.podem_backtracks = 7;
   b.phase1_seconds = 0.25;
   b.threads_used = 4;
+  a.memo_hits = 2;
+  b.memo_hits = 5;
+  b.verdict_stores = 9;
   a.merge(b);
   EXPECT_EQ(a.patterns_simulated, 13u);
   EXPECT_EQ(a.podem_backtracks, 7u);
+  EXPECT_EQ(a.memo_hits, 7u);
+  EXPECT_EQ(a.verdict_stores, 9u);
   EXPECT_DOUBLE_EQ(a.phase1_seconds, 0.75);
   EXPECT_EQ(a.threads_used, 4);
   EXPECT_NE(a.summary().find("13 patterns"), std::string::npos);

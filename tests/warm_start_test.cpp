@@ -253,5 +253,40 @@ TEST(WarmStart, ArenaReuseAcrossDesignsIsTransparent) {
   EXPECT_EQ(shared.size(), 1u);  // single-threaded: master slot only
 }
 
+TEST(WarmStart, ProbeOverlayIsADeltaOverTheBase) {
+  DesignFlow flow(osu018_library(), flow_options(true, 1));
+  const FlowState s = flow.run_initial(block_a()).value();
+  const Netlist edited = remap_one_gate(s.netlist);
+
+  ProbeSession session = flow.probe();
+  ASSERT_TRUE(session.count_undetectable_internal(edited).has_value());
+  auto probed = session.reanalyze(edited, s.placement);
+  ASSERT_TRUE(probed.has_value());
+  ASSERT_EQ(probed->atpg.num_aborted, 0u);
+
+  const FaultStatusCache& base = flow.cache();
+  const FaultStatusCache& overlay = session.updates();
+  FaultKeyTable<std::uint8_t> new_or_changed;  // used as a set
+  for (std::size_t i = 0; i < probed->universe.size(); ++i) {
+    const Fault::Key k = probed->universe.faults[i].key();
+    const FaultStatus status = probed->atpg.status[i];
+    const FaultStatus delta = overlay.lookup(k);
+    EXPECT_EQ(delta != FaultStatus::Unknown ? delta : base.lookup(k), status)
+        << "fault " << i;
+    if (base.lookup(k) != status) new_or_changed.try_emplace(k, 0);
+  }
+  // The overlay records only what the probe learned beyond the base.
+  EXPECT_LE(overlay.table.size(), new_or_changed.size());
+  EXPECT_GE(session.counters().verdict_stores, overlay.table.size());
+  EXPECT_GT(session.counters().memo_hits, 0u);
+
+  flow.commit_probe(std::move(session));
+  for (std::size_t i = 0; i < probed->universe.size(); ++i) {
+    EXPECT_EQ(flow.cache().lookup(probed->universe.faults[i].key()),
+              probed->atpg.status[i])
+        << "fault " << i;
+  }
+}
+
 }  // namespace
 }  // namespace dfmres
