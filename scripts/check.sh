@@ -71,6 +71,11 @@ assert trace["traceEvents"], "empty trace"
 assert any(e.get("ph") == "X" for e in trace["traceEvents"]), "no spans"
 metrics = json.load(open(os.path.join(d, "metrics.json")))
 assert metrics["counters"].get("atpg.patterns_simulated", 0) > 0
+# Every observability wave updates at least its victim net, so the memo
+# miss count is bounded by the propagation events.
+obs = metrics["counters"].get("atpg.obs_propagations", 0)
+events = metrics["counters"].get("atpg.propagation_events", 0)
+assert 0 < obs <= events, f"atpg.obs_propagations={obs}, events={events}"
 report = json.load(open(os.path.join(d, "report.json")))
 assert report["schema"] == "dfmres-run-report-v1"
 assert report["resynthesis"]["convergence"], "empty convergence series"

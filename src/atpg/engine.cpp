@@ -594,6 +594,7 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
   result.counters.patterns_simulated = simulator.patterns_simulated();
   result.counters.detect_mask_calls = simulator.detect_mask_calls();
   result.counters.propagation_events = simulator.propagation_events();
+  result.counters.obs_propagations = simulator.obs_propagations();
   result.counters.frame_bytes_materialized =
       simulator.frame_bytes_materialized();
   result.counters.full_loads = simulator.full_loads();
@@ -604,6 +605,7 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
     result.counters.patterns_simulated += sim->patterns_simulated();
     result.counters.detect_mask_calls += sim->detect_mask_calls();
     result.counters.propagation_events += sim->propagation_events();
+    result.counters.obs_propagations += sim->obs_propagations();
     result.counters.frame_bytes_materialized +=
         sim->frame_bytes_materialized();
     result.counters.full_loads += sim->full_loads();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <limits>
 
 #include "src/atpg/fault_sim_kernel.hpp"
 #include "src/util/trace.hpp"
@@ -280,6 +281,9 @@ void FaultSimulator::rebind(std::shared_ptr<const DenseView> view) {
   faulty_.assign(slots, 0);
   stamp_.assign(net_slots, 0);
   epoch_ = 0;
+  obs_.assign(slots, 0);
+  obs_stamp_.assign(net_slots, 0);
+  obs_epoch_ = 0;
   set_lanes(0);
   scheduled_.assign(view_->gate_slots, 0);
   // Event scratch left over from an interrupted query against a previous
@@ -293,6 +297,7 @@ void FaultSimulator::rebind(std::shared_ptr<const DenseView> view) {
   patterns_simulated_ = 0;
   detect_mask_calls_ = 0;
   propagation_events_ = 0;
+  obs_propagations_ = 0;
   frame_bytes_materialized_ = 0;
   full_loads_ = 0;
   overlay_loads_ = 0;
@@ -329,6 +334,17 @@ void FaultSimulator::set_lanes(std::size_t count) {
                     : rem > 0 ? (std::uint64_t{1} << rem) - 1
                               : 0;
   }
+  invalidate_obs();
+}
+
+void FaultSimulator::invalidate_obs() {
+  // Same wraparound rule as the propagation epoch: clear the stamps
+  // before epoch numbers repeat.
+  if (obs_epoch_ == std::numeric_limits<std::uint32_t>::max()) {
+    std::fill(obs_stamp_.begin(), obs_stamp_.end(), 0);
+    obs_epoch_ = 0;
+  }
+  ++obs_epoch_;
 }
 
 void FaultSimulator::load(std::span<const TestPattern> tests,
@@ -364,6 +380,7 @@ void FaultSimulator::load_from(const FaultSimulator& other) {
   o0_ = other.o0_;
   o1_ = other.o1_;
   dirty_ = other.dirty_;
+  invalidate_obs();
 }
 
 void FaultSimulator::load_baseline(const SimBaseline& base, const CowPlan& plan,

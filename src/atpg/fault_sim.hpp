@@ -181,7 +181,8 @@ struct CowPlan {
 /// satisfies this by construction.
 ///
 /// Threading model: `detect_mask` reads the bound good-value frames but
-/// mutates the `faulty_`/`stamp_`/`scheduled_` scratch, so a simulator
+/// mutates the `faulty_`/`stamp_`/`scheduled_` scratch and the
+/// observability memo (`obs_`/`obs_stamp_`), so a simulator
 /// instance must never be shared between threads. Concurrent instances
 /// may read the same bound frames (nobody writes them during a sweep).
 class FaultSimulator {
@@ -279,6 +280,11 @@ class FaultSimulator {
   [[nodiscard]] std::uint64_t propagation_events() const {
     return propagation_events_;
   }
+  /// Observability waves run by `detect_mask` — memo misses, at most
+  /// one per victim net per loaded batch.
+  [[nodiscard]] std::uint64_t obs_propagations() const {
+    return obs_propagations_;
+  }
   /// Good-frame bytes written by loads on this instance: 16*W per net
   /// slot for a full load, 16*W per dirty slot for an overlay load,
   /// zero for load_from. The bytes-per-probe number the overlay work is
@@ -302,8 +308,11 @@ class FaultSimulator {
   void bind_own_frames();
   /// Sets lanes_/groups_ and materializes the per-group tail masks into
   /// lane_mask_ (full words for complete groups, a low-bit mask for the
-  /// tail group, zero beyond groups_).
+  /// tail group, zero beyond groups_). Every batch change passes through
+  /// here (or load_from), so it also invalidates the observability memo.
   void set_lanes(std::size_t count);
+  /// Drops every observability memo entry by advancing obs_epoch_.
+  void invalidate_obs();
   /// Shared body of the two baseline loads: bind `gf` read-only and
   /// materialize the plan's dirty slots into the private overlay.
   void load_overlay_frames(const GoodFrames& gf, const CowPlan& plan,
@@ -345,7 +354,14 @@ class FaultSimulator {
   // Gate slot scratch; uint8_t instead of vector<bool> because the
   // bit-proxy read-modify-write sits on the event-propagation hot path.
   std::vector<std::uint8_t> scheduled_;
-  // Per-excitation event scratch reused across detect_mask calls,
+  // Per-batch observability memo (net_slots * words): lanes in which
+  // flipping the net changes an observation point, valid for slots whose
+  // obs_stamp_ equals obs_epoch_. Private to this instance like the rest
+  // of the scratch, so sweep workers each fill their own.
+  std::vector<std::uint64_t> obs_;
+  std::vector<std::uint32_t> obs_stamp_;
+  std::uint32_t obs_epoch_ = 0;
+  // Per-wave event scratch reused across observability waves,
   // structure-of-arrays: the pending-event min-heap keeps topo positions
   // and gate slots in parallel arrays (the heap sifts touch only the
   // position lane; the gate ids ride along), and the nets whose faulty
@@ -358,6 +374,7 @@ class FaultSimulator {
   std::uint64_t patterns_simulated_ = 0;
   std::uint64_t detect_mask_calls_ = 0;
   std::uint64_t propagation_events_ = 0;
+  std::uint64_t obs_propagations_ = 0;
   std::uint64_t frame_bytes_materialized_ = 0;
   std::uint64_t full_loads_ = 0;
   std::uint64_t overlay_loads_ = 0;

@@ -10,6 +10,14 @@
 // a scalar run over that group's patterns exactly. That is the
 // bit-identity contract tests/simd_kernel_test.cpp sweeps.
 //
+// Detection queries share work per victim net: the first excitation
+// that reaches a victim in a loaded batch runs one propagation wave
+// with the victim flipped in every active lane and memoizes the lanes
+// in which an observation point changed; every later excitation of that
+// victim costs only its condition literals plus one AND. The memo is
+// exact (lane-local evaluation makes a lane's outcome independent of the
+// other lanes), so masks equal a per-excitation propagation bit for bit.
+//
 // Only fault_sim_kernel_*.cpp may include this header: Kernel<Word> is
 // a friend of FaultSimulator and reaches straight into the frame and
 // scratch members.
@@ -257,13 +265,107 @@ struct Kernel {
     (void)count;
   }
 
+  /// Lanes of the loaded batch in which flipping `victim` changes an
+  /// observation point — the victim's observability, memoized per batch.
+  /// A miss flips the victim in every active lane and runs one
+  /// event-driven wave through its fanout cone; the entry then answers
+  /// every later excitation of that victim until the next load.
+  static Word observability(FaultSimulator& s, std::uint32_t victim) {
+    const std::size_t vslot = static_cast<std::size_t>(victim) * W;
+    if (s.obs_stamp_[victim] == s.obs_epoch_) {
+      return Word::load(s.obs_.data() + vslot);
+    }
+    ++s.obs_propagations_;
+    const DenseView& v = *s.view_;
+    const Word lane_mask = Word::load(s.lane_mask_);
+
+    // Event-driven forward propagation of the flip (frame 1 only).
+    if (s.epoch_ == std::numeric_limits<std::uint32_t>::max()) {
+      // Epoch wraparound: a stale stamp equal to the restarted epoch
+      // would silently resurrect old faulty values, so clear the
+      // stamps before reusing epoch numbers.
+      std::fill(s.stamp_.begin(), s.stamp_.end(), 0);
+      s.epoch_ = 0;
+    }
+    ++s.epoch_;
+    const auto fv_of = [&](std::uint32_t n) {
+      return s.stamp_[n] == s.epoch_
+                 ? Word::load(s.faulty_.data() +
+                              static_cast<std::size_t>(n) * W)
+                 : g1(s, n);
+    };
+    const auto set_fv = [&](std::uint32_t n, Word val) {
+      val.store(s.faulty_.data() + static_cast<std::size_t>(n) * W);
+      s.stamp_[n] = s.epoch_;
+      s.touched_nets_.push_back(n);
+      ++s.propagation_events_;
+    };
+    s.touched_nets_.clear();
+    set_fv(victim, g1(s, victim) ^ lane_mask);
+
+    // SoA min-heap of gates by topological position (reused buffers).
+    // Sinks come from the view's combinational fanout CSR, which
+    // already excludes sequential gates.
+    s.event_pos_.clear();
+    s.event_gate_.clear();
+    s.touched_gates_.clear();
+    const auto schedule_sinks = [&](std::uint32_t n) {
+      for (std::uint32_t i = v.fanout_offset[n]; i < v.fanout_offset[n + 1];
+           ++i) {
+        const std::uint32_t gs = v.fanout_gate[i];
+        if (!s.scheduled_[gs]) {
+          s.scheduled_[gs] = 1;
+          s.touched_gates_.push_back(gs);
+          push_event(s.event_pos_, s.event_gate_, v.topo_pos[gs], gs);
+        }
+      }
+    };
+    schedule_sinks(victim);
+    Word ins[kMaxCellInputs];
+    while (!s.event_pos_.empty()) {
+      const std::uint32_t gs = pop_event(s.event_pos_, s.event_gate_);
+      const CellSpec& cell = *v.cell[gs];
+      const std::uint32_t fb = v.fanin_offset[gs];
+      const std::size_t nin = v.fanin_offset[gs + 1] - fb;
+      for (std::size_t i = 0; i < nin; ++i) {
+        ins[i] = fv_of(v.fanin_net[fb + i]);
+      }
+      const std::uint32_t ob = v.output_offset[gs];
+      for (int k = 0; k < cell.num_outputs; ++k) {
+        const std::uint32_t outn =
+            v.output_net[ob + static_cast<std::uint32_t>(k)];
+        const Word nv = eval_cell_word(cell, k, ins, nin);
+        if (!(nv == fv_of(outn))) {
+          set_fv(outn, nv);
+          schedule_sinks(outn);
+        }
+      }
+    }
+    for (std::uint32_t gs : s.touched_gates_) s.scheduled_[gs] = 0;
+
+    // Only nets stamped this epoch can disagree with the good machine,
+    // so scan the touched set instead of every observation point. A
+    // primary-output victim is observed directly in every flipped lane.
+    Word obs = v.is_primary_output[victim] ? lane_mask : Word::zero();
+    for (std::uint32_t ns : s.touched_nets_) {
+      if (v.observe_flag[ns]) {
+        const Word fv = Word::load(s.faulty_.data() +
+                                   static_cast<std::size_t>(ns) * W);
+        obs = obs | (fv ^ g1(s, ns));
+      }
+    }
+    obs = obs & lane_mask;
+    obs.store(s.obs_.data() + vslot);
+    s.obs_stamp_[victim] = s.obs_epoch_;
+    return obs;
+  }
+
   static void detect(FaultSimulator& s,
                      std::span<const Excitation> excitations,
                      std::uint64_t* out) {
     for (int g = 0; g < s.groups_; ++g) out[g] = 0;
     if (cancel_expired(s.cancel_)) return;
     ++s.detect_mask_calls_;
-    const DenseView& v = *s.view_;
     const Word lane_mask = Word::load(s.lane_mask_);
     Word detected = Word::zero();
 
@@ -283,92 +385,16 @@ struct Kernel {
       e = exc.faulty_value ? e.andnot(victim_good) : (e & victim_good);
       if (e.none()) continue;
 
-      // Event-driven forward propagation of the flip (frame 1 only).
-      if (s.epoch_ == std::numeric_limits<std::uint32_t>::max()) {
-        // Epoch wraparound: a stale stamp equal to the restarted epoch
-        // would silently resurrect old faulty values, so clear the
-        // stamps before reusing epoch numbers.
-        std::fill(s.stamp_.begin(), s.stamp_.end(), 0);
-        s.epoch_ = 0;
-      }
-      ++s.epoch_;
-      const auto fv_of = [&](std::uint32_t n) {
-        return s.stamp_[n] == s.epoch_
-                   ? Word::load(s.faulty_.data() +
-                                static_cast<std::size_t>(n) * W)
-                   : g1(s, n);
-      };
-      const auto set_fv = [&](std::uint32_t n, Word val) {
-        val.store(s.faulty_.data() + static_cast<std::size_t>(n) * W);
-        s.stamp_[n] = s.epoch_;
-        s.touched_nets_.push_back(n);
-        ++s.propagation_events_;
-      };
-      s.touched_nets_.clear();
-      set_fv(victim, victim_good.andnot(e) |
-                         (exc.faulty_value ? e : Word::zero()));
-
-      // SoA min-heap of gates by topological position (reused buffers).
-      // Sinks come from the view's combinational fanout CSR, which
-      // already excludes sequential gates.
-      s.event_pos_.clear();
-      s.event_gate_.clear();
-      s.touched_gates_.clear();
-      const auto schedule_sinks = [&](std::uint32_t n) {
-        for (std::uint32_t i = v.fanout_offset[n]; i < v.fanout_offset[n + 1];
-             ++i) {
-          const std::uint32_t gs = v.fanout_gate[i];
-          if (!s.scheduled_[gs]) {
-            s.scheduled_[gs] = 1;
-            s.touched_gates_.push_back(gs);
-            push_event(s.event_pos_, s.event_gate_, v.topo_pos[gs], gs);
-          }
-        }
-      };
-      schedule_sinks(victim);
-      Word ins[kMaxCellInputs];
-      while (!s.event_pos_.empty()) {
-        const std::uint32_t gs = pop_event(s.event_pos_, s.event_gate_);
-        const CellSpec& cell = *v.cell[gs];
-        const std::uint32_t fb = v.fanin_offset[gs];
-        const std::size_t nin = v.fanin_offset[gs + 1] - fb;
-        for (std::size_t i = 0; i < nin; ++i) {
-          ins[i] = fv_of(v.fanin_net[fb + i]);
-        }
-        const std::uint32_t ob = v.output_offset[gs];
-        for (int k = 0; k < cell.num_outputs; ++k) {
-          const std::uint32_t outn =
-              v.output_net[ob + static_cast<std::uint32_t>(k)];
-          const Word nv = eval_cell_word(cell, k, ins, nin);
-          if (!(nv == fv_of(outn))) {
-            set_fv(outn, nv);
-            schedule_sinks(outn);
-          }
-        }
-      }
-      for (std::uint32_t gs : s.touched_gates_) s.scheduled_[gs] = 0;
-
-      // Detection at observation points: only nets stamped this epoch
-      // can disagree with the good machine, so scan the touched set
-      // instead of every observation point.
-      for (std::uint32_t ns : s.touched_nets_) {
-        if (v.observe_flag[ns]) {
-          const Word fv = Word::load(s.faulty_.data() +
-                                     static_cast<std::size_t>(ns) * W);
-          detected = detected | ((fv ^ g1(s, ns)) & e);
-        }
-      }
-      // The victim itself may be observed directly.
-      if (v.is_primary_output[victim]) {
-        detected = detected | ((fv_of(victim) ^ victim_good) & e);
-      }
+      // In lanes e the faulty machine differs from the good one only at
+      // the victim, and every gate evaluation is lane-local, so lane L of
+      // e detects exactly when the all-lane flip is observed in lane L.
+      detected = detected | (e & observability(s, victim));
       // All active lanes of every group detected: later excitations
       // cannot add bits in any group, exactly like the scalar early
       // exit (a full group stays full, so per-group results agree even
       // though the scalar kernel may stop after fewer excitations).
       if (detected == lane_mask) break;
     }
-    detected = detected & lane_mask;
     std::uint64_t tmp[kMaxSimWords];
     detected.store(tmp);
     for (int g = 0; g < s.groups_; ++g) out[g] = tmp[g];

@@ -27,8 +27,11 @@ namespace dfmres {
 ///  - via opens / weak vias  -> stuck-at and transition faults,
 ///  - metal spacing runs     -> 4-way dominant bridge faults,
 ///  - density windows        -> transition faults on crossing nets.
-/// Duplicate logic faults from distinct physical sites are kept (each is
-/// its own violation, as in the paper's fault counts).
+/// External faults are listed once per (net, guideline) target — once
+/// per (net pair, guideline) for bridges — however many physical sites
+/// violate it. Only charge-sharing-masked intra-cell sites repeat, once
+/// per co-violated guideline of their family; ATPG collapses those
+/// duplicates by fault key.
 [[nodiscard]] FaultUniverse extract_dfm_faults(const Netlist& nl,
                                                const Placement& pl,
                                                const RoutingResult& routes,

@@ -52,6 +52,7 @@ void MetricsRegistry::absorb(const AtpgCounters& counters,
   add(p + "patterns_simulated", counters.patterns_simulated);
   add(p + "detect_mask_calls", counters.detect_mask_calls);
   add(p + "propagation_events", counters.propagation_events);
+  add(p + "obs_propagations", counters.obs_propagations);
   add(p + "podem_backtracks", counters.podem_backtracks);
   add(p + "replay_drops", counters.replay_drops);
   add(p + "podem_targets_skipped", counters.podem_targets_skipped);

@@ -72,6 +72,7 @@ void AtpgCounters::merge(const AtpgCounters& other) {
   patterns_simulated += other.patterns_simulated;
   detect_mask_calls += other.detect_mask_calls;
   propagation_events += other.propagation_events;
+  obs_propagations += other.obs_propagations;
   podem_backtracks += other.podem_backtracks;
   replay_drops += other.replay_drops;
   podem_targets_skipped += other.podem_targets_skipped;

@@ -53,6 +53,9 @@ struct AtpgCounters {
   std::uint64_t patterns_simulated = 0;   ///< test frames loaded into lanes
   std::uint64_t detect_mask_calls = 0;    ///< per-fault simulation queries
   std::uint64_t propagation_events = 0;   ///< faulty-value net updates
+  /// Observability waves (fault-sim memo misses). Metrics registry only:
+  /// kept out of summary()/json() so CLI and report output stay fixed.
+  std::uint64_t obs_propagations = 0;
   std::uint64_t podem_backtracks = 0;     ///< deterministic-search backtracks
   std::uint64_t replay_drops = 0;         ///< faults dropped by seed replay
   std::uint64_t podem_targets_skipped = 0;///< cone-untouched cached targets
