@@ -21,7 +21,7 @@ BUILD_DIR="${1:-build-asan}"
 cmake -B "$BUILD_DIR" -S . -DDFMRES_SANITIZE=address \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
-  --target warm_start_test core_test atpg_test overlay_test simd_kernel_test \
+  --target warm_start_test core_test atpg_test overlay_test fault_sim_test \
   lease_test sat_test
 
 # Fail loudly on the first report from either sanitizer.
@@ -41,11 +41,11 @@ ASAN_OPTIONS="$SAN_ENV" UBSAN_OPTIONS="$SAN_ENV" \
 # overlay load/discard/rebase code paths.
 ASAN_OPTIONS="$SAN_ENV" UBSAN_OPTIONS="$SAN_ENV" \
   "$BUILD_DIR/tests/overlay_test" --gtest_filter='-OverlayHeavy.*'
-# SimWord kernels: the W-sweep identity suite drives every portable
-# width (plus the ISA kernels on machines that have them) through the
-# load / overlay / detect paths, including the batch-tail lane masks.
+# Fault-simulation kernel: the oracle suite drives the load / overlay /
+# detect paths and the observability memo, including the batch-tail
+# lane masks.
 ASAN_OPTIONS="$SAN_ENV" UBSAN_OPTIONS="$SAN_ENV" \
-  "$BUILD_DIR/tests/simd_kernel_test" --gtest_filter='-SimdKernelHeavy.*'
+  "$BUILD_DIR/tests/fault_sim_test"
 # Lease protocol + campaign workers: single-line JSON records, epoch
 # path arithmetic and the shard render/parse round-trip are exactly the
 # string/buffer handling ASan watches. The fork-heavy resume case runs

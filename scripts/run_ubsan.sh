@@ -17,7 +17,7 @@ BUILD_DIR="${1:-build-ubsan}"
 cmake -B "$BUILD_DIR" -S . -DDFMRES_SANITIZE=undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
-  --target verilog_test netlist_test resilience_test simd_kernel_test \
+  --target verilog_test netlist_test resilience_test fault_sim_test \
   sat_test atpg_test
 
 # Fail loudly on the first report.
@@ -29,10 +29,8 @@ UBSAN_OPTIONS="$SAN_ENV" \
   "$BUILD_DIR/tests/sat_test" --gtest_filter='-SatAtpg.AgreesWithPodemOnTv80'
 UBSAN_OPTIONS="$SAN_ENV" \
   "$BUILD_DIR/tests/atpg_test" --gtest_filter='FaultKeyTable.*'
-# The portable SimWord kernels lean on fixed-count loops and unaligned
-# uint64 loads; UBSan checks the shifts and pointer math across every
-# width, batch-tail shape included.
-UBSAN_OPTIONS="$SAN_ENV" \
-  "$BUILD_DIR/tests/simd_kernel_test" --gtest_filter='-SimdKernelHeavy.*'
+# The fault-simulation kernel's lane masks are shifts by the lane
+# count; UBSan checks them on every batch-tail shape.
+UBSAN_OPTIONS="$SAN_ENV" "$BUILD_DIR/tests/fault_sim_test"
 
 echo "UBSan: no reports."

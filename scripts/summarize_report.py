@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Summarize a dfmres run or campaign report.
 
-For a dfmres-run-report-v1 document (--report-out /
+For a dfmres-run-report-v2 document (--report-out /
 BENCH_*_report.json) prints the run header, initial vs final
 Table-II-style stats, ATPG and resynthesis counters, and a compact
 convergence table. For a dfmres-campaign-report-v1 document
@@ -28,14 +28,13 @@ KNOWN_SCHEMAS = [
     "dfmres-campaign-manifest-v1",
     "dfmres-campaign-report-v1",
     "dfmres-campaign-shard-v1",
-    "dfmres-run-report-v1",
+    "dfmres-run-report-v2",
     "dfmres-lease-v1",
     "dfmres-telemetry-v1",
     "dfmres-status-v1",
     "dfmres-request-v1",
     "dfmres-response-v1",
     "dfmres-bench-probe-overlay-v1",
-    "dfmres-bench-simd-kernel-v1",
     "dfmres-bench-serve-v1",
 ]
 
@@ -69,13 +68,10 @@ def summarize(path):
     if schema == "dfmres-bench-probe-overlay-v1":
         summarize_probe_overlay(path, report)
         return
-    if schema == "dfmres-bench-simd-kernel-v1":
-        summarize_simd_kernel(path, report)
-        return
     if schema == "dfmres-bench-serve-v1":
         summarize_serve_saturation(path, report)
         return
-    if schema != "dfmres-run-report-v1":
+    if schema != "dfmres-run-report-v2":
         raise ValueError(f"{path}: unexpected schema {schema!r}")
 
     print(f"== {path}")
@@ -163,34 +159,6 @@ def summarize_probe_overlay(path, report):
     )
     if not report["identical"]:
         raise ValueError(f"{path}: overlay and full runs disagree")
-
-
-def summarize_simd_kernel(path, report):
-    """BENCH_simd_kernel.json: SimWord kernel throughput vs roofline."""
-    print(f"== {path}")
-    print(
-        f"   SimWord kernels on {report['gates']} gates x"
-        f" {report['patterns']} patterns x {report['excitations']} excitations:"
-        f" bit-identical={'yes' if report['identical_masks'] else 'NO'}"
-    )
-    triad = report["triad_gbs"]
-    print(f"   STREAM triad roofline: {triad:.2f} GB/s")
-    for run in report["runs"]:
-        pct = 100.0 * run["load_gbs"] / triad if triad > 0 else 0.0
-        print(
-            f"   {run['mode']:<9} -> {run['kernel']:<9} W={run['words']}"
-            f"  load {run['load_gbs']:5.2f} GB/s ({pct:3.0f}% of triad,"
-            f" {run['load_speedup_vs_scalar']:.2f}x)"
-            f"  detect {run['detect_lanes_per_sec'] / 1e6:7.1f}M lanes/s"
-            f" ({run['detect_speedup_vs_scalar']:.2f}x)"
-        )
-    print(
-        f"   auto kernel speedup vs scalar:"
-        f" load {report['auto_load_speedup']:.2f}x,"
-        f" detect {report['auto_detect_speedup']:.2f}x"
-    )
-    if not report["identical_masks"]:
-        raise ValueError(f"{path}: kernel masks diverge from scalar")
 
 
 def summarize_serve_saturation(path, report):
@@ -295,8 +263,6 @@ def summarize_run(report, indent=""):
         print(indent + text)
 
     header = f"{report['command']} on {report['circuit']}"
-    if report.get("sim_kernel"):
-        header += f", {report['sim_kernel']} kernel (W={report.get('sim_words', 1)})"
     if report.get("threads"):
         header += f", {report['threads']} threads"
     if report.get("fingerprint"):

@@ -1,8 +1,6 @@
 #include "src/atpg/engine.hpp"
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <chrono>
 #include <limits>
 #include <memory>
@@ -160,42 +158,30 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
   bool use_overlay = false;
   if (have_seeds && options.baseline != nullptr && options.baseline->valid() &&
       options.baseline->num_patterns == options.seed_tests->size() &&
-      options.baseline->frame_width == num_sources &&
-      // Baseline frames carry the SimWord layout they were built with; a
-      // mode change between builds just disables the overlay (full loads
-      // are always correct).
-      options.baseline->words == simulator.words()) {
+      options.baseline->frame_width == num_sources) {
     cow_plan = build_cow_plan(*dense, *options.baseline->view);
     use_overlay = cow_plan.valid;
   }
   if (run_span.active()) run_span.arg("overlay", use_overlay ? 1 : 0);
 
-  // Wide batching: one load carries up to `capacity` = 64 * W pattern
-  // lanes under the bound kernel, in `max_groups` = W groups of 64. All
-  // reductions below emulate the scalar engine's group-sequential order
-  // exactly, so the run's verdicts, tests, and rng stream match a
-  // --simd=scalar run bit for bit.
-  const int capacity = simulator.lane_capacity();
-  const int max_groups = capacity / 64;
+  // One load carries up to 64 pattern lanes.
+  constexpr std::size_t kBatch = FaultSimulator::lane_capacity();
 
-  // masks[k * groups + g] = group g of detect_masks(excitations[items[k]])
-  // for the currently loaded batch, computed across the pool (stride =
-  // simulator.groups() at load time).
+  // masks[k] = detect_mask(excitations[items[k]]) for the currently
+  // loaded batch, computed across the pool.
   const auto sweep_masks = [&](std::span<const std::uint32_t> items,
                                std::vector<std::uint64_t>& masks) {
     TraceSpan span("atpg.sweep", "atpg");
     if (span.active()) {
       span.arg("items", static_cast<std::uint64_t>(items.size()));
     }
-    const std::size_t groups =
-        static_cast<std::size_t>(simulator.groups());
     // Zero-fill, not resize: a cancelled sweep leaves unvisited slots
     // untouched, and a stale mask must read "not detected".
-    masks.assign(items.size() * groups, 0);
+    masks.assign(items.size(), 0);
     const auto run_range = [&](int lane, std::size_t begin, std::size_t end) {
       FaultSimulator& sim = lane == 0 ? simulator : *worker_sims[lane - 1];
       for (std::size_t k = begin; k < end; ++k) {
-        sim.detect_masks(excitations[items[k]], &masks[k * groups]);
+        masks[k] = sim.detect_mask(excitations[items[k]]);
       }
     };
     // Below this, the per-worker good-frame copies cost more than the
@@ -213,49 +199,25 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
   };
 
   std::vector<std::uint64_t> sweep_scratch;
-  // Outcome of one wide drop sweep: the lanes that first-detected
-  // something, per 64-lane group, plus how many groups the scalar engine
-  // would actually have processed before its target list ran dry.
-  struct DropOutcome {
-    std::array<std::uint64_t, kMaxSimWords> useful{};
-    int consumed = 0;
-  };
-  // Sweeps already ran over all groups at once; this reduction replays
-  // the scalar engine's batch-by-batch semantics over the per-group
-  // masks: group g's drops land before group g+1 is considered, a fault
-  // dropped by an earlier group never credits a later one, and groups
-  // past the point where targets emptied are not consumed at all (the
-  // scalar engine would never have loaded them). Lane crediting within
-  // a group is unchanged: each newly detected fault credits exactly one
-  // lane — the lowest set bit of its group mask — so a lane survives
-  // iff it is some fault's first detector, matching the classic
-  // serial-simulation rule independent of sweep order. Consumes the
-  // masks in sweep_scratch (stride = simulator.groups()).
+  // Drops every target the loaded batch detects (masks in sweep_scratch)
+  // and returns the useful lanes. Each newly detected fault credits
+  // exactly one lane — the lowest set bit of its mask — so a lane
+  // survives iff it is some fault's first detector, matching the classic
+  // serial-simulation rule independent of sweep order.
   const auto drop_from_masks = [&]() {
-    DropOutcome out;
-    const std::size_t groups = static_cast<std::size_t>(simulator.groups());
-    std::size_t remaining = targets.size();
-    for (std::size_t g = 0; g < groups; ++g) {
-      if (remaining == 0) break;
-      out.consumed = static_cast<int>(g) + 1;
-      for (std::size_t k = 0; k < targets.size(); ++k) {
-        const std::uint32_t i = targets[k];
-        if (result.status[i] != FaultStatus::Unknown) continue;
-        const std::uint64_t mask = sweep_scratch[k * groups + g];
-        if (mask != 0) {
-          result.status[i] = FaultStatus::Detected;
-          --remaining;
-          out.useful[g] |= mask & (~mask + 1);
-        }
+    std::uint64_t useful = 0;
+    std::vector<std::uint32_t> still;
+    for (std::size_t k = 0; k < targets.size(); ++k) {
+      const std::uint64_t mask = sweep_scratch[k];
+      if (mask != 0) {
+        result.status[targets[k]] = FaultStatus::Detected;
+        useful |= mask & (~mask + 1);
+      } else {
+        still.push_back(targets[k]);
       }
     }
-    std::vector<std::uint32_t> still;
-    still.reserve(remaining);
-    for (const std::uint32_t i : targets) {
-      if (result.status[i] == FaultStatus::Unknown) still.push_back(i);
-    }
     targets = std::move(still);
-    return out;
+    return useful;
   };
   const auto drop_with_batch = [&](std::span<const TestPattern> from,
                                    std::size_t first, std::size_t count) {
@@ -263,19 +225,26 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
     sweep_masks(targets, sweep_scratch);
     return drop_from_masks();
   };
-  // Overlay-path twin of drop_with_batch for the phase-0 replay. In
-  // verify mode the batch is re-swept under a full load and the run
-  // continues with the full-load masks, so a mismatch is counted but
-  // never changes the outcome.
-  const auto drop_with_baseline_batch = [&](std::span<const TestPattern> seeds,
+  // Overlay-path twin of drop_with_batch over baseline batch `batch`
+  // (seed or pre-simulated random, per `random`). In verify mode the
+  // batch is re-swept under a full load of from[first, first + count)
+  // and the run continues with the full-load masks, so a mismatch is
+  // counted but never changes the outcome.
+  const auto drop_with_baseline_batch = [&](bool random,
+                                            std::span<const TestPattern> from,
                                             std::size_t first,
+                                            std::size_t batch,
                                             std::size_t count) {
-    simulator.load_baseline(*options.baseline, cow_plan,
-                            first / static_cast<std::size_t>(capacity), count);
+    if (random) {
+      simulator.load_baseline_random(*options.baseline, cow_plan, batch,
+                                     count);
+    } else {
+      simulator.load_baseline(*options.baseline, cow_plan, batch, count);
+    }
     sweep_masks(targets, sweep_scratch);
     if (options.verify_overlays) {
       const std::vector<std::uint64_t> overlay_masks = sweep_scratch;
-      simulator.load(seeds, first, count);
+      simulator.load(from, first, count);
       sweep_masks(targets, sweep_scratch);
       ++result.counters.overlay_verified_batches;
       if (overlay_masks != sweep_scratch) {
@@ -284,30 +253,6 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
     }
     return drop_from_masks();
   };
-  // Phase-1 twin: the committed baseline also carries pre-simulated
-  // frames for the engine's own deterministic random batches (same rng
-  // seed, same generator, same wide packing), so a probe replays those
-  // through the overlay too. The freshly drawn patterns are still
-  // compared against the stored ones before use — any divergence (seed
-  // drift, width change) falls back to the full load, never a wrong
-  // answer.
-  const auto drop_with_random_baseline_batch =
-      [&](std::span<const TestPattern> from, std::size_t first,
-          std::size_t batch, std::size_t count) {
-        simulator.load_baseline_random(*options.baseline, cow_plan, batch,
-                                       count);
-        sweep_masks(targets, sweep_scratch);
-        if (options.verify_overlays) {
-          const std::vector<std::uint64_t> overlay_masks = sweep_scratch;
-          simulator.load(from, first, count);
-          sweep_masks(targets, sweep_scratch);
-          ++result.counters.overlay_verified_batches;
-          if (overlay_masks != sweep_scratch) {
-            ++result.counters.overlay_verify_mismatches;
-          }
-        }
-        return drop_from_masks();
-      };
 
   // ---- phase 0: warm-start replay of the seed test set ----
   // One drop sweep over the previous run's compacted patterns detects
@@ -325,19 +270,17 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
     for (std::size_t first = 0;
          first < seeds.size() && !targets.empty() &&
          !cancel_expired(options.cancel);
-         first += static_cast<std::size_t>(capacity)) {
-      const std::size_t count = std::min<std::size_t>(
-          static_cast<std::size_t>(capacity), seeds.size() - first);
-      const DropOutcome outcome =
-          use_overlay ? drop_with_baseline_batch(seeds, first, count)
+         first += kBatch) {
+      const std::size_t count = std::min(kBatch, seeds.size() - first);
+      const std::uint64_t useful =
+          use_overlay ? drop_with_baseline_batch(false, seeds, first,
+                                                 first / kBatch, count)
                       : drop_with_batch(seeds, first, count);
       if (options.generate_tests) {
         // Useful seed patterns join the candidate pool so the phase-3
         // compaction keeps covering the faults they detect.
         for (std::size_t lane = 0; lane < count; ++lane) {
-          if ((outcome.useful[lane >> 6] >> (lane & 63)) & 1) {
-            tests.push_back(seeds[first + lane]);
-          }
+          if ((useful >> lane) & 1) tests.push_back(seeds[first + lane]);
         }
       }
     }
@@ -369,69 +312,44 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
   // ---- phase 1: random pattern pairs with fault dropping ----
   const auto phase1_start = Clock::now();
   phase_span.emplace("atpg.phase1.random", "atpg");
-  // The scalar engine draws one 64-pattern batch at a time and stops
-  // drawing the moment targets run dry; the rng then feeds PODEM's
-  // concretize. A wide chunk draws up to `max_groups` batches up front,
-  // so the draw is checkpointed per group: if the drop reduction says
-  // the scalar engine would only have consumed the first k groups, the
-  // rng rewinds to its state after group k's draw and the undrawn
-  // groups' patterns are discarded — the downstream rng stream and the
-  // kept test list match the scalar run exactly.
-  int batch = 0;
-  while (batch < options.random_batches && !targets.empty() &&
-         !cancel_expired(options.cancel)) {
-    const int chunk_groups =
-        std::min(max_groups, options.random_batches - batch);
+  // One 64-pattern batch per iteration; drawing stops the moment targets
+  // run dry, and the rng then feeds PODEM's concretize. The committed
+  // baseline also carries pre-simulated frames for these batches (same
+  // rng seed, same generator), so a probe replays them through the
+  // overlay — after checking the freshly drawn patterns against the
+  // stored ones, falling back to a full load on any divergence.
+  for (int batch = 0; batch < options.random_batches && !targets.empty() &&
+                      !cancel_expired(options.cancel);
+       ++batch) {
     const std::size_t first = tests.size();
-    std::array<Rng, kMaxSimWords> rng_after;
-    for (int g = 0; g < chunk_groups; ++g) {
-      for (int lane = 0; lane < 64; ++lane) {
-        tests.push_back({random_frame(num_sources, rng),
-                         random_frame(num_sources, rng)});
-      }
-      rng_after[static_cast<std::size_t>(g)] = rng;
+    const std::size_t at = static_cast<std::size_t>(batch) * kBatch;
+    for (std::size_t lane = 0; lane < kBatch; ++lane) {
+      tests.push_back({random_frame(num_sources, rng),
+                       random_frame(num_sources, rng)});
     }
-    const std::size_t drawn = 64 * static_cast<std::size_t>(chunk_groups);
-    // `batch` is a multiple of max_groups whenever the loop continues
-    // (a short chunk only happens when targets empty or the batch quota
-    // runs out, both of which end the loop), so the wide-batch index
-    // into the baseline's pre-simulated frames is exact.
-    const std::size_t wide_batch =
-        static_cast<std::size_t>(batch / max_groups);
     const bool batch_cached =
         use_overlay &&
-        wide_batch < options.baseline->random_batches.size() &&
-        options.baseline->random_batches[wide_batch].lanes ==
-            static_cast<int>(drawn) &&
-        options.baseline->random_patterns.size() >=
-            static_cast<std::size_t>(batch) * 64 + drawn &&
+        static_cast<std::size_t>(batch) <
+            options.baseline->random_batches.size() &&
+        options.baseline->random_batches[static_cast<std::size_t>(batch)]
+                .lanes == static_cast<int>(kBatch) &&
+        options.baseline->random_patterns.size() >= at + kBatch &&
         std::equal(tests.begin() + static_cast<std::ptrdiff_t>(first),
                    tests.end(),
                    options.baseline->random_patterns.begin() +
-                       static_cast<std::ptrdiff_t>(batch) * 64);
-    const DropOutcome outcome =
+                       static_cast<std::ptrdiff_t>(at));
+    const std::uint64_t useful =
         batch_cached
-            ? drop_with_random_baseline_batch(tests, first, wide_batch, drawn)
-            : drop_with_batch(tests, first, drawn);
-    const int consumed = std::max(outcome.consumed, 1);
-    if (consumed < chunk_groups) {
-      rng = rng_after[static_cast<std::size_t>(consumed) - 1];
-      tests.resize(first + 64 * static_cast<std::size_t>(consumed));
-    }
+            ? drop_with_baseline_batch(true, tests, first,
+                                       static_cast<std::size_t>(batch), kBatch)
+            : drop_with_batch(tests, first, kBatch);
     // Keep only lanes that first-detected something; discard the rest.
     std::vector<TestPattern> kept;
-    for (int g = 0; g < consumed; ++g) {
-      for (int lane = 0; lane < 64; ++lane) {
-        if ((outcome.useful[g] >> lane) & 1) {
-          kept.push_back(
-              std::move(tests[first + static_cast<std::size_t>(g) * 64 +
-                              static_cast<std::size_t>(lane)]));
-        }
-      }
+    for (std::size_t lane = 0; lane < kBatch; ++lane) {
+      if ((useful >> lane) & 1) kept.push_back(std::move(tests[first + lane]));
     }
     tests.resize(first);
     for (auto& t : kept) tests.push_back(std::move(t));
-    batch += consumed;
   }
   phase_span.reset();
   result.counters.phase1_seconds = seconds_since(phase1_start);
@@ -536,32 +454,24 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
     std::vector<TestPattern> compacted;
     std::vector<TestPattern> reversed(tests.rbegin(), tests.rend());
     for (std::size_t first = 0; first < reversed.size() && !uncovered.empty();
-         first += static_cast<std::size_t>(capacity)) {
-      const std::size_t count = std::min<std::size_t>(
-          static_cast<std::size_t>(capacity), reversed.size() - first);
+         first += kBatch) {
+      const std::size_t count = std::min(kBatch, reversed.size() - first);
       simulator.load(reversed, first, count);
-      const std::size_t groups = static_cast<std::size_t>(simulator.groups());
-      std::vector<std::uint64_t> masks;  // stride = groups
+      std::vector<std::uint64_t> masks;
       sweep_masks(uncovered, masks);
-      // Lanes run in global order (group-sequential), and the mask rows
-      // are compacted alongside the uncovered list — a fault's group-g
-      // mask does not depend on which faults remain, so this equals the
-      // scalar engine's re-sweep per 64-lane batch.
+      // Lanes run in order, and the masks are compacted alongside the
+      // uncovered list (a fault's mask does not depend on which faults
+      // remain), so one sweep serves the whole batch.
       for (std::size_t lane = 0; lane < count; ++lane) {
-        const std::size_t g = lane >> 6;
-        const std::size_t bit = lane & 63;
         bool useful = false;
         std::vector<std::uint32_t> still;
         std::vector<std::uint64_t> still_masks;
         for (std::size_t u = 0; u < uncovered.size(); ++u) {
-          if ((masks[u * groups + g] >> bit) & 1) {
+          if ((masks[u] >> lane) & 1) {
             useful = true;
           } else {
             still.push_back(uncovered[u]);
-            still_masks.insert(
-                still_masks.end(),
-                masks.begin() + static_cast<std::ptrdiff_t>(u * groups),
-                masks.begin() + static_cast<std::ptrdiff_t>((u + 1) * groups));
+            still_masks.push_back(masks[u]);
           }
         }
         if (useful) {
@@ -590,7 +500,6 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
     result.counters.sat_aborted = st.aborted;
     result.counters.sat_seconds = st.seconds;
   }
-  result.counters.sim_words = simulator.words();
   result.counters.patterns_simulated = simulator.patterns_simulated();
   result.counters.detect_mask_calls = simulator.detect_mask_calls();
   result.counters.propagation_events = simulator.propagation_events();

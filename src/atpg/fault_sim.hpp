@@ -14,18 +14,14 @@
 #include "src/faults/fault_key_table.hpp"
 #include "src/netlist/dense_view.hpp"
 #include "src/netlist/netlist.hpp"
-#include "src/sim/sim_word.hpp"
-#include "src/sim/simd_dispatch.hpp"
 #include "src/util/cancel.hpp"
 #include "src/util/rng.hpp"
 
 namespace dfmres {
 
-namespace fsim {
-struct KernelOps;
-template <class Word>
-struct Kernel;
-}  // namespace fsim
+/// 64-lane words per fault-simulation batch: one, so a batch is one
+/// std::uint64_t of pattern lanes per net. Sizes detect_masks buffers.
+inline constexpr int kMaxSimWords = 1;
 
 /// One test: a fully specified assignment per source (PIs and flop
 /// outputs) for the initialization frame and the detection frame. In the
@@ -43,14 +39,12 @@ struct TestPattern {
 [[nodiscard]] std::vector<std::uint8_t> random_sim_frame(std::size_t n,
                                                          Rng& rng);
 
-/// One batch of good-machine net values, both frames, laid out per net
-/// slot of the view they were simulated over in the W-word SimWord
-/// layout: word g of slot n at index n*words + g, lane L of the batch in
-/// bit L%64 of word L/64. A batch carries up to 64*words lanes.
+/// One batch of good-machine net values, both frames, one word per net
+/// slot of the view they were simulated over: lane L of the batch in bit
+/// L of the slot's word. A batch carries up to 64 lanes.
 struct GoodFrames {
   int lanes = 0;
-  int words = 1;  ///< SimWord width the frames were materialized with
-  std::vector<std::uint64_t> good0, good1;  ///< net_slots * words each
+  std::vector<std::uint64_t> good0, good1;  ///< net_slots each
 };
 
 /// Committed-baseline good frames for copy-on-write probe replay: the
@@ -60,14 +54,10 @@ struct GoodFrames {
 /// edit dirties (see CowPlan / FaultSimulator::load_baseline).
 struct SimBaseline {
   std::shared_ptr<const DenseView> view;  ///< the committed design's view
-  std::vector<GoodFrames> batches;  ///< seeds packed 64*words per batch
+  std::vector<GoodFrames> batches;  ///< seeds packed 64 per batch
   std::size_t num_patterns = 0;
   std::size_t frame_width = 0;   ///< sources per pattern at build
   std::uint64_t seeds_hash = 0;  ///< digest of the seed patterns
-  /// SimWord width of every stored batch. A simulator may only overlay
-  /// onto frames whose layout matches its own kernel; the engine falls
-  /// back to full loads on mismatch (a mode change between builds).
-  int words = 1;
 
   /// The engine's phase-1 random batches, pre-simulated as well: the
   /// patterns are a pure function of (rng seed, frame width) — phase 0
@@ -76,8 +66,8 @@ struct SimBaseline {
   /// regenerates exactly these patterns and can overlay these frames.
   /// The engine double-checks by comparing the regenerated patterns to
   /// `random_patterns` before trusting a batch. `random_batch_count` is
-  /// the configured number of 64-pattern engine batches; the stored
-  /// GoodFrames pack them `words` groups per wide batch.
+  /// the configured number of 64-pattern engine batches, one GoodFrames
+  /// each.
   std::uint64_t random_seed = 0;
   int random_batch_count = 0;
   std::vector<TestPattern> random_patterns;  ///< 64 per engine batch
@@ -92,7 +82,6 @@ struct SimBaseline {
     num_patterns = 0;
     frame_width = 0;
     seeds_hash = 0;
-    words = 1;
     random_seed = 0;
     random_batch_count = 0;
     random_patterns.clear();
@@ -104,8 +93,8 @@ struct SimBaseline {
 /// exact patterns its frames were simulated from.
 [[nodiscard]] std::uint64_t seed_tests_hash(std::span<const TestPattern> seeds);
 
-/// Simulates `seeds` over `nl` once (64*W lanes per batch under the
-/// active kernel, both frames) into a shareable baseline.
+/// Simulates `seeds` over `nl` once (64 lanes per batch, both frames)
+/// into a shareable baseline.
 /// `random_batches` > 0 additionally generates and simulates the
 /// engine's deterministic phase-1 batches for `random_seed` (the
 /// AtpgOptions seed the probes will run with).
@@ -117,8 +106,8 @@ struct SimBaseline {
 /// seed set: folds the structural diff into the stored frames when the
 /// copy-on-write plan allows (O(cone) per batch), otherwise re-simulates
 /// from scratch. When `seeds` differs from the set the baseline was
-/// built from (hash mismatch), or the random-batch configuration or the
-/// active SimWord width changed, the rebuild is always full.
+/// built from (hash mismatch), or the random-batch configuration
+/// changed, the rebuild is always full.
 void rebase_sim_baseline(SimBaseline& base, const Netlist& nl,
                          std::span<const TestPattern> seeds,
                          std::uint64_t random_seed = 0,
@@ -162,14 +151,18 @@ struct CowPlan {
 [[nodiscard]] CowPlan build_cow_plan(const DenseView& cand,
                                      const DenseView& base);
 
-/// Multi-word single-fault simulator with event-driven cone propagation:
-/// up to 64*W pattern lanes per batch, where W is the SimWord width of
-/// the kernel bound at rebind time (resolved from the global SimdMode —
-/// scalar uint64, auto-vectorized portable 4/8-word, or AVX2/AVX-512
-/// intrinsics; see sim/simd_dispatch). Load a batch of tests, then query
-/// detection masks fault by fault (the engine drops detected faults as
-/// it goes). Results are bit-identical per 64-lane group for every
-/// kernel.
+/// Bit-parallel single-fault simulator with event-driven cone
+/// propagation: up to 64 pattern lanes per batch, one std::uint64_t per
+/// net slot. Load a batch of tests, then query detection masks fault by
+/// fault (the engine drops detected faults as it goes).
+///
+/// Detection queries share work per victim net: the first excitation
+/// that reaches a victim in a loaded batch runs one propagation wave
+/// with the victim flipped in every active lane and memoizes the lanes
+/// in which an observation point changed; every later excitation of that
+/// victim costs only its condition literals plus one AND. The memo is
+/// exact (lane-local evaluation makes a lane's outcome independent of the
+/// other lanes), so masks equal a per-excitation propagation bit for bit.
 ///
 /// Good-value frames are bound, not owned: a full `load` simulates into
 /// this instance's own frame arrays; `load_from` aliases another
@@ -193,23 +186,21 @@ class FaultSimulator {
 
   /// Re-targets this simulator at another design, reusing the
   /// already-allocated frame and scratch buffers (they only grow).
-  /// Re-resolves the kernel from the global SimdMode and resets lanes,
-  /// epochs, stale event/touched scratch, and the per-instance
-  /// counters, so a rebound simulator reports counters for the new
-  /// binding only.
+  /// Resets lanes, epochs, stale event/touched scratch, and the
+  /// per-instance counters, so a rebound simulator reports counters for
+  /// the new binding only.
   void rebind(std::shared_ptr<const DenseView> view);
   void rebind(const Netlist& nl, const CombView& view);
 
-  /// Packs tests[first..first+count) into the lanes (up to
-  /// lane_capacity()) and simulates the good machine for both frames in
-  /// one fused topological pass (a full O(netlist) materialization).
+  /// Packs tests[first..first+count) into the lanes (up to 64) and
+  /// simulates the good machine for both frames in one fused topological
+  /// pass (a full O(netlist) materialization).
   void load(std::span<const TestPattern> tests, std::size_t first,
             std::size_t count);
 
   /// Adopts another simulator's bound batch (frames + lane count)
-  /// without copying. Both instances must be bound to the same design
-  /// under the same kernel; the adopted frames alias `other`'s and
-  /// follow its lifetime rules.
+  /// without copying. Both instances must be bound to the same design;
+  /// the adopted frames alias `other`'s and follow its lifetime rules.
   void load_from(const FaultSimulator& other);
 
   /// Copy-on-write batch load: binds baseline batch `batch` read-only
@@ -217,8 +208,7 @@ class FaultSimulator {
   /// private overlay, cutting off wherever recomputed values equal the
   /// baseline frames — O(values actually changed) materialized frame
   /// bytes instead of O(netlist). `plan` must have been built from this
-  /// simulator's view against `base.view`, the baseline's SimWord width
-  /// must equal this simulator's, and `plan` is borrowed until the next
+  /// simulator's view against `base.view` and is borrowed until the next
   /// load/rebind; `count` must equal the batch's lane count.
   void load_baseline(const SimBaseline& base, const CowPlan& plan,
                      std::size_t batch, std::size_t count);
@@ -229,22 +219,18 @@ class FaultSimulator {
   void load_baseline_random(const SimBaseline& base, const CowPlan& plan,
                             std::size_t batch, std::size_t count);
 
-  /// Per-group lane masks of tests that detect a fault with the given
-  /// excitations: out[g] covers lanes [64g, 64g+64) of the batch and is
-  /// bit-identical to a scalar-kernel query over those 64 tests alone.
-  /// `out` must hold at least groups() words. With an expired cancel
-  /// token the query short-circuits to all-zero ("not detected") — only
-  /// valid when the caller discards cancelled runs.
-  void detect_masks(std::span<const Excitation> excitations,
-                    std::uint64_t* out);
-
-  /// Group-0 convenience for 64-lane callers (all existing unit tests,
-  /// PODEM's single-test drop sweeps).
+  /// Lane mask of the loaded tests that detect a fault with the given
+  /// excitations (bit L = lane L). With an expired cancel token the
+  /// query short-circuits to zero ("not detected") — only valid when the
+  /// caller discards cancelled runs.
   [[nodiscard]] std::uint64_t detect_mask(
-      std::span<const Excitation> excitations) {
-    std::uint64_t groups[kMaxSimWords] = {};
-    detect_masks(excitations, groups);
-    return groups[0];
+      std::span<const Excitation> excitations);
+
+  /// detect_mask in the per-group form: writes groups() words to `out`
+  /// (at most kMaxSimWords).
+  void detect_masks(std::span<const Excitation> excitations,
+                    std::uint64_t* out) {
+    if (groups() > 0) out[0] = detect_mask(excitations);
   }
 
   /// Installs a cooperative cancel token polled at detect_mask entry
@@ -253,14 +239,10 @@ class FaultSimulator {
   void set_cancel(const CancelToken* cancel) { cancel_ = cancel; }
 
   [[nodiscard]] int lanes() const { return lanes_; }
-  /// Active 64-lane groups in the current batch: ceil(lanes / 64).
-  [[nodiscard]] int groups() const { return groups_; }
-  /// SimWord width W of the bound kernel (words per net slot).
-  [[nodiscard]] int words() const;
-  /// Lanes one batch can carry under the bound kernel: 64 * words().
-  [[nodiscard]] int lane_capacity() const;
-  /// Resolved-mode spelling of the bound kernel ("scalar", "avx2", ...).
-  [[nodiscard]] const char* kernel_name() const;
+  /// Active 64-lane groups in the current batch: 1, or 0 before a load.
+  [[nodiscard]] int groups() const { return lanes_ > 0 ? 1 : 0; }
+  /// Lanes one batch can carry.
+  [[nodiscard]] static constexpr int lane_capacity() { return 64; }
   [[nodiscard]] const DenseView& view() const { return *view_; }
   [[nodiscard]] const std::shared_ptr<const DenseView>& view_ptr() const {
     return view_;
@@ -276,7 +258,7 @@ class FaultSimulator {
     return detect_mask_calls_;
   }
   /// Faulty-value net updates during event-driven propagation (one per
-  /// W-word SimWord update, covering all active lane groups at once).
+  /// word update, covering all active lanes at once).
   [[nodiscard]] std::uint64_t propagation_events() const {
     return propagation_events_;
   }
@@ -285,8 +267,8 @@ class FaultSimulator {
   [[nodiscard]] std::uint64_t obs_propagations() const {
     return obs_propagations_;
   }
-  /// Good-frame bytes written by loads on this instance: 16*W per net
-  /// slot for a full load, 16*W per dirty slot for an overlay load,
+  /// Good-frame bytes written by loads on this instance: 16 per net
+  /// slot for a full load, 16 per dirty slot for an overlay load,
   /// zero for load_from. The bytes-per-probe number the overlay work is
   /// about.
   [[nodiscard]] std::uint64_t frame_bytes_materialized() const {
@@ -302,14 +284,10 @@ class FaultSimulator {
   [[nodiscard]] double load_seconds() const { return load_seconds_; }
 
  private:
-  template <class Word>
-  friend struct fsim::Kernel;
-
   void bind_own_frames();
-  /// Sets lanes_/groups_ and materializes the per-group tail masks into
-  /// lane_mask_ (full words for complete groups, a low-bit mask for the
-  /// tail group, zero beyond groups_). Every batch change passes through
-  /// here (or load_from), so it also invalidates the observability memo.
+  /// Sets lanes_ and the active-lane mask lane_mask_. Every batch change
+  /// passes through here (or load_from), so it also invalidates the
+  /// observability memo.
   void set_lanes(std::size_t count);
   /// Drops every observability memo entry by advancing obs_epoch_.
   void invalidate_obs();
@@ -317,21 +295,31 @@ class FaultSimulator {
   /// materialize the plan's dirty slots into the private overlay.
   void load_overlay_frames(const GoodFrames& gf, const CowPlan& plan,
                            std::size_t count);
+  /// Event-driven replay with value cutoff from the plan's seeds over
+  /// the bound baseline frames (the body of load_overlay_frames).
+  void replay_overlay(const CowPlan& plan);
+  /// Good-machine value of slot `n` in frame 0 / frame 1, through the
+  /// overlay when one is bound.
+  [[nodiscard]] std::uint64_t g0(std::uint32_t n) const {
+    return (dirty_ != nullptr && dirty_[n]) ? o0_[n] : g0_[n];
+  }
+  [[nodiscard]] std::uint64_t g1(std::uint32_t n) const {
+    return (dirty_ != nullptr && dirty_[n]) ? o1_[n] : g1_[n];
+  }
+  /// Lanes of the loaded batch in which flipping `victim` changes an
+  /// observation point, memoized per batch.
+  std::uint64_t observability(std::uint32_t victim);
 
   std::shared_ptr<const DenseView> view_;
-  /// Bound kernel ops (width + ISA), resolved at rebind.
-  const fsim::KernelOps* ops_ = nullptr;
   int lanes_ = 0;
-  int groups_ = 0;
-  /// Per-group active-lane masks in SimWord layout (kMaxSimWords words;
-  /// words past the kernel width stay zero). Loaded as one Word by the
-  /// kernels for tail masking and the all-lanes-detected early exit.
-  std::uint64_t lane_mask_[kMaxSimWords] = {};
+  /// Active lanes of the batch (low lanes_ bits set): masks tail lanes
+  /// and ends a query once every lane detected.
+  std::uint64_t lane_mask_ = 0;
   // Owned frame storage (full loads) and overlay storage (CoW loads),
-  // net_slots * words each, slot-major.
+  // one word per net slot.
   std::vector<std::uint64_t> good0_, good1_;
   std::vector<std::uint64_t> ov0_, ov1_;
-  // Source-packing scratch reused across loads (num_sources * words).
+  // Source-packing scratch reused across loads (one word per source).
   std::vector<std::uint64_t> src0_, src1_;
   // Active bindings: base frames, overlay frames, dirty flags
   // (dirty_ == nullptr means full mode — no overlay indirection).
@@ -346,7 +334,7 @@ class FaultSimulator {
   // clear. dirty_ points at ov_dirty_ in overlay mode.
   std::vector<std::uint8_t> ov_dirty_;
   std::vector<std::uint32_t> ov_dirty_list_;
-  // Copy-on-write faulty values (net_slots * words) with per-slot epoch
+  // Copy-on-write faulty values (one word per net slot) with per-slot epoch
   // stamps (avoids clearing).
   std::vector<std::uint64_t> faulty_;
   std::vector<std::uint32_t> stamp_;
@@ -354,7 +342,7 @@ class FaultSimulator {
   // Gate slot scratch; uint8_t instead of vector<bool> because the
   // bit-proxy read-modify-write sits on the event-propagation hot path.
   std::vector<std::uint8_t> scheduled_;
-  // Per-batch observability memo (net_slots * words): lanes in which
+  // Per-batch observability memo (one word per net slot): lanes in which
   // flipping the net changes an observation point, valid for slots whose
   // obs_stamp_ equals obs_epoch_. Private to this instance like the rest
   // of the scratch, so sweep workers each fill their own.

@@ -755,8 +755,7 @@ Status write_canonical_run_report(JsonWriter& w, const JsonValue& report) {
   }
   w.begin_object();
   for (const char* key :
-       {"schema", "command", "circuit", "sim_kernel", "sim_words",
-        "fingerprint", "initial", "final"}) {
+       {"schema", "command", "circuit", "fingerprint", "initial", "final"}) {
     const JsonValue* v = report.find(key);
     if (v == nullptr) continue;  // fingerprint/initial are optional
     w.key(key);

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <ctime>
 
-#include "src/sim/simd_dispatch.hpp"
 #include "src/util/json.hpp"
 
 namespace dfmres {
@@ -50,11 +49,7 @@ StateSummary StateSummary::of(const FlowState& state) {
 }
 
 RunReport::RunReport(std::string command, std::string circuit)
-    : command_(std::move(command)), circuit_(std::move(circuit)) {
-  const SimdMode resolved = resolve_simd_mode(global_simd_mode());
-  sim_kernel_ = simd_mode_name(resolved);
-  sim_words_ = simd_mode_words(resolved);
-}
+    : command_(std::move(command)), circuit_(std::move(circuit)) {}
 
 void RunReport::set_threads(int threads) { threads_ = threads; }
 
@@ -92,8 +87,6 @@ std::string RunReport::to_json() const {
   w.field("schema", schemas::kRunReport);
   w.field("command", command_);
   w.field("circuit", circuit_);
-  w.field("sim_kernel", sim_kernel_);
-  w.field("sim_words", sim_words_);
   if (threads_ > 0) w.field("threads", threads_);
   if (has_fingerprint_) {
     w.field("fingerprint",

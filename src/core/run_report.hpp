@@ -58,10 +58,6 @@ class RunReport {
  private:
   std::string command_;
   std::string circuit_;
-  /// Fault-sim kernel resolved at construction time ("scalar", "avx2",
-  /// …) and its SimWord width W — pins which SIMD path produced the run.
-  std::string sim_kernel_;
-  int sim_words_ = 1;
   int threads_ = 0;
   std::uint64_t fingerprint_ = 0;
   bool has_fingerprint_ = false;

@@ -10,9 +10,11 @@
 /// so a new document type cannot land unregistered on either side of
 /// the C++/Python boundary.
 ///
-/// Version bumps are new constants (kFooV2 next to kFooV1 during a
-/// migration window), never edits: a persisted document's schema string
-/// is a contract with every reader that ever shipped.
+/// Version bumps of a document the system parses are new constants
+/// (kFooV2 next to kFooV1 during a migration window), never edits: a
+/// persisted document's schema string is a contract with every reader
+/// that ever shipped. A write-only document (the run report) moves to
+/// its next version in place.
 
 namespace dfmres::schemas {
 
@@ -25,7 +27,7 @@ inline constexpr const char* kCampaignReport = "dfmres-campaign-report-v1";
 /// One finished job, published exclusively by its lease holder.
 inline constexpr const char* kCampaignShard = "dfmres-campaign-shard-v1";
 /// Single-run report (`--report-out` of flow/resyn).
-inline constexpr const char* kRunReport = "dfmres-run-report-v1";
+inline constexpr const char* kRunReport = "dfmres-run-report-v2";
 /// Epoch lease record under <root>/leases/<job>/e<N>.
 inline constexpr const char* kLease = "dfmres-lease-v1";
 /// Crash-durable worker snapshot under <root>/telemetry/.
@@ -41,7 +43,6 @@ inline constexpr const char* kResponse = "dfmres-response-v1";
 
 inline constexpr const char* kBenchProbeOverlay =
     "dfmres-bench-probe-overlay-v1";
-inline constexpr const char* kBenchSimdKernel = "dfmres-bench-simd-kernel-v1";
 /// Saturation bench: submit->done latency percentiles vs offered load.
 inline constexpr const char* kBenchServe = "dfmres-bench-serve-v1";
 
@@ -49,7 +50,7 @@ inline constexpr const char* kBenchServe = "dfmres-bench-serve-v1";
 inline constexpr const char* kAll[] = {
     kCampaignManifest, kCampaignReport, kCampaignShard, kRunReport,
     kLease,            kTelemetry,      kStatus,        kRequest,
-    kResponse,         kBenchProbeOverlay, kBenchSimdKernel, kBenchServe,
+    kResponse,         kBenchProbeOverlay, kBenchServe,
 };
 
 [[nodiscard]] inline constexpr bool is_registered(std::string_view schema) {

@@ -78,7 +78,6 @@ void MetricsRegistry::absorb(const AtpgCounters& counters,
   observe(p + "phase2_seconds", counters.phase2_seconds);
   observe(p + "phase3_seconds", counters.phase3_seconds);
   set_gauge(p + "threads_used", counters.threads_used);
-  set_gauge(p + "sim_words", counters.sim_words);
 }
 
 void MetricsRegistry::merge(const MetricsRegistry& shard) {

@@ -98,7 +98,6 @@ void AtpgCounters::merge(const AtpgCounters& other) {
   phase2_seconds += other.phase2_seconds;
   phase3_seconds += other.phase3_seconds;
   threads_used = std::max(threads_used, other.threads_used);
-  sim_words = std::max(sim_words, other.sim_words);
 }
 
 std::string AtpgCounters::summary() const {
@@ -107,7 +106,7 @@ std::string AtpgCounters::summary() const {
       "%llu backtracks, %llu replay drops, %llu podem skips, "
       "%llu cancelled, loads %llu full + %llu overlay (%llu frame bytes), "
       "sat %llu calls (%llu handoffs, %llu D/%llu U/%llu A, %llu conflicts, "
-      "%.3fs), phases %.3f/%.3f/%.3f/%.3fs, %d thread%s, W=%d lanes",
+      "%.3fs), phases %.3f/%.3f/%.3f/%.3fs, %d thread%s",
       static_cast<unsigned long long>(patterns_simulated),
       static_cast<unsigned long long>(detect_mask_calls),
       static_cast<unsigned long long>(propagation_events),
@@ -125,7 +124,7 @@ std::string AtpgCounters::summary() const {
       static_cast<unsigned long long>(sat_aborted),
       static_cast<unsigned long long>(sat_conflicts), sat_seconds,
       phase0_seconds, phase1_seconds, phase2_seconds, phase3_seconds,
-      threads_used, threads_used == 1 ? "" : "s", sim_words);
+      threads_used, threads_used == 1 ? "" : "s");
 }
 
 std::string AtpgCounters::json() const {
@@ -144,7 +143,7 @@ std::string AtpgCounters::json() const {
       "\"load_seconds\": %.6f, "
       "\"phase0_seconds\": %.6f, \"phase1_seconds\": %.6f, "
       "\"phase2_seconds\": %.6f, \"phase3_seconds\": %.6f, "
-      "\"threads_used\": %d, \"sim_words\": %d}",
+      "\"threads_used\": %d}",
       static_cast<unsigned long long>(patterns_simulated),
       static_cast<unsigned long long>(detect_mask_calls),
       static_cast<unsigned long long>(propagation_events),
@@ -165,7 +164,7 @@ std::string AtpgCounters::json() const {
       static_cast<unsigned long long>(sat_undetectable),
       static_cast<unsigned long long>(sat_aborted), sat_seconds,
       load_seconds, phase0_seconds, phase1_seconds, phase2_seconds,
-      phase3_seconds, threads_used, sim_words);
+      phase3_seconds, threads_used);
 }
 
 }  // namespace dfmres

@@ -81,7 +81,6 @@ struct AtpgCounters {
   double phase2_seconds = 0.0;            ///< PODEM + SAT + drop sweeps
   double phase3_seconds = 0.0;            ///< reverse-order compaction
   int threads_used = 1;                   ///< resolved worker lane count
-  int sim_words = 1;                      ///< SimWord width W of the kernel
 
   void merge(const AtpgCounters& other);
   [[nodiscard]] double total_seconds() const {

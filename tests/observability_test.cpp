@@ -342,7 +342,7 @@ TEST(RunReportTest, JsonRoundTripsThroughTheSyntaxChecker) {
 
   const std::string json = report.to_json();
   EXPECT_TRUE(is_valid_json(json));
-  EXPECT_NE(json.find("\"schema\":\"dfmres-run-report-v1\""),
+  EXPECT_NE(json.find("\"schema\":\"dfmres-run-report-v2\""),
             std::string::npos);
   EXPECT_NE(json.find("\"fingerprint\":\"deadbeefcafe1234\""),
             std::string::npos);
