@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <set>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "src/circuits/benchmarks.hpp"
+#include "src/core/flow.hpp"
 #include "src/dfm/checker.hpp"
 #include "src/dfm/guidelines.hpp"
 #include "src/layout/floorplan.hpp"
@@ -163,6 +169,79 @@ TEST_F(DfmExtraction, InternalFaultsAreLayoutIndependent) {
   const FaultUniverse universe2 =
       extract_dfm_faults(nl_, placement2, routes2, udfm_);
   EXPECT_EQ(universe2.count_internal(), universe_.count_internal());
+}
+
+/// Order-independent digest of a universe: FNV-1a over the sorted
+/// (kind, scope, victim, aggressor, owner, udfm_index, value,
+/// bridge_type, guideline) tuples, so it pins which faults are emitted
+/// and how often, not the order they come in.
+std::uint64_t fault_multiset_hash(const FaultUniverse& u) {
+  using Tuple = std::tuple<int, int, std::uint32_t, std::uint32_t,
+                           std::uint32_t, std::uint32_t, int, int, int>;
+  std::vector<Tuple> tuples;
+  tuples.reserve(u.size());
+  for (const Fault& f : u.faults) {
+    tuples.emplace_back(static_cast<int>(f.kind), static_cast<int>(f.scope),
+                        f.victim.value(), f.aggressor.value(),
+                        f.owner.value(), f.udfm_index, f.value ? 1 : 0,
+                        static_cast<int>(f.bridge_type), f.guideline);
+  }
+  std::sort(tuples.begin(), tuples.end());
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ull;
+  };
+  for (const Tuple& t : tuples) {
+    std::apply([&mix](auto... field) {
+      (mix(static_cast<std::uint64_t>(field)), ...);
+    }, t);
+  }
+  return h;
+}
+
+TEST_F(DfmExtraction, FaultMultisetPinned) {
+  // Every Table-II block, mapped, placed and routed the way
+  // DesignFlow::run_initial does it at default FlowOptions. Recorded
+  // from the extractor that walked hash containers; any rewrite must
+  // emit the same faults the same number of times.
+  const struct {
+    const char* block;
+    std::size_t faults;
+    std::uint64_t hash;
+  } kPinned[] = {
+      {"aes_core", 54345, 0x3b202fb3d2c3bffcull},
+      {"des_perf", 25077, 0x806d4a157d7bb454ull},
+      {"sparc_exu", 16119, 0x00a984f7eef7a1e9ull},
+      {"sparc_ffu", 14636, 0x1f85dcc6361010c9ull},
+      {"sparc_fpu", 16975, 0x8366cb74f53c455dull},
+      {"sparc_ifu", 5313, 0x224ba2ed8880cd22ull},
+      {"sparc_lsu", 7206, 0x6c91d1b50299ed69ull},
+      {"sparc_spu", 10017, 0x8dd3ecfa5568b2aaull},
+      {"sparc_tlu", 3741, 0x57a970d13c7b469dull},
+      {"systemcaes", 14582, 0x98a16eaaa1d8033eull},
+      {"tv80", 10277, 0x32f5eb3cccf30c52ull},
+      {"wb_conmax", 7532, 0xfb1ba3eb30e9e638ull},
+  };
+  ASSERT_EQ(std::size(kPinned), benchmark_names().size());
+  const FlowOptions fopts;
+  const auto glib = generic_library();
+  for (const auto& pin : kPinned) {
+    const Netlist rtl = build_benchmark(pin.block).value();
+    MapOptions mo;
+    mo.fixed_map.emplace(glib->require("DFF").value(),
+                         lib_->require("DFFPOSX1"));
+    mo.fixed_map.emplace(glib->require("FA").value(), lib_->require("FAX1"));
+    mo.fixed_map.emplace(glib->require("HA").value(), lib_->require("HAX1"));
+    const Netlist nl = *technology_map(rtl, lib_, mo);
+    const Placement pl = global_place(
+        nl, make_floorplan(nl, fopts.utilization), fopts.place);
+    const RoutingResult routes = route(nl, pl, fopts.route);
+    const FaultUniverse u = extract_dfm_faults(nl, pl, routes, udfm_);
+    EXPECT_EQ(u.size(), pin.faults) << pin.block;
+    EXPECT_EQ(fault_multiset_hash(u), pin.hash)
+        << pin.block << ": 0x" << std::hex << fault_multiset_hash(u);
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
@@ -424,6 +425,45 @@ TEST(EnginePinned, ColdRunOutputMatchesRecordedHash) {
           << pin.block << " at " << threads << " threads: 0x" << std::hex
           << output_hash(r);
     }
+  }
+}
+
+TEST(EnginePinned, VerdictMultisetMatchesRecordedHash) {
+  // Order-independent: FNV-1a over the sorted (fault key, status) pairs
+  // of a cold default-option run, so it holds however the extractor
+  // orders the universe as long as every fault keeps its verdict.
+  const struct {
+    const char* block;
+    std::uint64_t hash;
+  } kPinned[] = {
+      {"sparc_tlu", 0xe43c73b628bbc8c4ull},
+      {"tv80", 0x7a7cf0b205ad04c0ull},
+  };
+  const UdfmMap udfm(*lib());
+  for (const auto& pin : kPinned) {
+    const RealBlock blk = real_block(pin.block, udfm);
+    const AtpgResult r = run_atpg(blk.nl, blk.universe, udfm, {});
+    ASSERT_EQ(r.status.size(), blk.universe.size());
+    using Pair = std::pair<std::vector<std::uint64_t>, int>;
+    std::vector<Pair> pairs;
+    pairs.reserve(r.status.size());
+    for (std::size_t i = 0; i < r.status.size(); ++i) {
+      const Fault::Key k = blk.universe.faults[i].key();
+      pairs.push_back({{k.kind, k.bridge_type, k.victim, k.aggressor,
+                        k.owner, k.udfm_index, k.value},
+                       static_cast<int>(r.status[i])});
+    }
+    std::sort(pairs.begin(), pairs.end());
+    std::uint64_t h = 14695981039346656037ull;
+    for (const auto& [key, status] : pairs) {
+      for (const std::uint64_t field : key) {
+        h ^= field;
+        h *= 1099511628211ull;
+      }
+      h ^= static_cast<std::uint64_t>(status);
+      h *= 1099511628211ull;
+    }
+    EXPECT_EQ(h, pin.hash) << pin.block << ": 0x" << std::hex << h;
   }
 }
 
