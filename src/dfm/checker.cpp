@@ -1,12 +1,20 @@
 #include "src/dfm/checker.hpp"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <bit>
+#include <cassert>
+#include <cmath>
+#include <cstdint>
+#include <numeric>
+#include <utility>
+#include <vector>
 
 namespace dfmres {
 
 namespace {
+
+static_assert(kNumGuidelines <= 64,
+              "the (net, guideline) dedupe keeps one 64-bit mask per net");
 
 /// Largest guideline threshold in [first, last] (category-relative
 /// indices) that `value` still violates (value >= threshold); -1 if none.
@@ -41,6 +49,66 @@ int tightest_family_low(GuidelineCategory cat, int first, int last,
   }
   return best;
 }
+
+/// Metal-category family of a parallel run of `overlap` gcells between
+/// adjacent tracks (guidelines 18-23), or -1. Tabulated once up to the
+/// largest threshold, past which the tightest family no longer changes.
+int parallel_run_family(int overlap) {
+  static const std::vector<int> table = [] {
+    const auto guidelines = all_guidelines();
+    int top = 0;
+    for (int i = 18; i <= 23; ++i) {
+      const double threshold =
+          guidelines[guideline_id(GuidelineCategory::Metal, i)].threshold;
+      top = std::max(top, static_cast<int>(std::ceil(threshold)));
+    }
+    std::vector<int> t(static_cast<std::size_t>(top) + 1);
+    for (int o = 0; o <= top; ++o) {
+      t[o] = tightest_family(GuidelineCategory::Metal, 18, 23, o);
+    }
+    return t;
+  }();
+  return table[std::clamp(overlap, 0, static_cast<int>(table.size()) - 1)];
+}
+
+/// Set of nonzero 64-bit keys: open addressing with linear probing,
+/// power-of-two capacity kept at most half full.
+class PairKeySet {
+ public:
+  /// Adds `key`; false if it was already present.
+  bool insert(std::uint64_t key) {
+    assert(key != 0);
+    if ((size_ + 1) * 2 > slots_.size()) grow();
+    std::size_t i = slot_of(key);
+    while (slots_[i] != 0) {
+      if (slots_[i] == key) return false;
+      i = (i + 1) & (slots_.size() - 1);
+    }
+    slots_[i] = key;
+    ++size_;
+    return true;
+  }
+
+ private:
+  [[nodiscard]] std::size_t slot_of(std::uint64_t key) const {
+    return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >> shift_);
+  }
+  void grow() {
+    std::vector<std::uint64_t> old(slots_.size() * 2, 0);
+    old.swap(slots_);
+    --shift_;
+    for (const std::uint64_t key : old) {
+      if (key == 0) continue;
+      std::size_t i = slot_of(key);
+      while (slots_[i] != 0) i = (i + 1) & (slots_.size() - 1);
+      slots_[i] = key;
+    }
+  }
+
+  std::vector<std::uint64_t> slots_ = std::vector<std::uint64_t>(64, 0);
+  int shift_ = 64 - 6;
+  std::size_t size_ = 0;
+};
 
 /// The internal faults one instance of `spec` contributes, in extraction
 /// order, with `owner` and `victim` left for the caller to fill in.
@@ -125,16 +193,18 @@ FaultUniverse extract_dfm_faults(const Netlist& nl, const Placement& pl,
                                  const UdfmMap& udfm) {
   FaultUniverse universe = extract_internal_faults(nl, udfm);
   auto& out = universe.faults;
+  const std::size_t net_slots = routes.nets.size();
 
   // Multiple physical sites can violate the same guideline on the same
   // net; the fault list (like a production ATPG fault list) carries one
   // logic fault per distinct (net, guideline) target.
-  std::unordered_set<std::uint64_t> seen;
+  std::vector<std::uint64_t> net_guidelines(net_slots, 0);
   const auto push_pair = [&](FaultKind kind, NetId net,
                              std::uint16_t guideline) {
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(net.value()) << 8) | guideline;
-    if (!seen.insert(key).second) return;
+    std::uint64_t& mask = net_guidelines[net.value()];
+    const std::uint64_t bit = std::uint64_t{1} << guideline;
+    if (mask & bit) return;
+    mask |= bit;
     for (const bool v : {false, true}) {
       Fault f;
       f.kind = kind;
@@ -188,57 +258,95 @@ FaultUniverse extract_dfm_faults(const Netlist& nl, const Placement& pl,
     }
   }
 
+  const int gw = routes.grid_w, gh = routes.grid_h;
+  const auto& segs = routes.segments;
+
   // ---- Metal parallel-run bridges ----
   {
-    // Group segments by (orientation, line).
-    std::unordered_map<std::uint64_t, std::vector<const RouteSegment*>> lines;
-    for (const RouteSegment& s : routes.segments) {
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(s.horizontal) << 32) |
-          static_cast<std::uint32_t>(s.fixed);
-      lines[key].push_back(&s);
+    // Segments bucketed by (line, track) as CSR. Vertical lines come
+    // first, by column, then horizontal lines, by row; a bucket holds
+    // one track of one line, ordered by (lo, index). Only adjacent
+    // tracks can bridge, so each line compares bucket t with t + 1.
+    const int tracks = routes.options.capacity_per_layer;
+    const std::size_t num_buckets =
+        static_cast<std::size_t>(gw + gh) * tracks;
+    std::vector<std::uint32_t> bucket_start(num_buckets + 1, 0);
+    std::vector<std::uint32_t> bucket_of(segs.size());
+    for (std::size_t i = 0; i < segs.size(); ++i) {
+      const RouteSegment& s = segs[i];
+      assert(s.fixed >= 0 && s.fixed < (s.horizontal ? gh : gw));
+      const int line = s.horizontal ? gw + s.fixed : s.fixed;
+      bucket_of[i] = static_cast<std::uint32_t>(line * tracks +
+                                                routes.track_of(s.net));
+      ++bucket_start[bucket_of[i] + 1];
     }
-    for (auto& [key, segs] : lines) {
-      std::sort(segs.begin(), segs.end(),
-                [](const RouteSegment* a, const RouteSegment* b) {
-                  return a->lo < b->lo;
-                });
+    std::partial_sum(bucket_start.begin(), bucket_start.end(),
+                     bucket_start.begin());
+    std::vector<std::uint32_t> by_bucket(segs.size());
+    {
+      std::vector<std::uint32_t> fill(bucket_start.begin(),
+                                      bucket_start.end() - 1);
       for (std::size_t i = 0; i < segs.size(); ++i) {
-        for (std::size_t j = i + 1; j < segs.size(); ++j) {
-          const RouteSegment& a = *segs[i];
-          const RouteSegment& b = *segs[j];
-          if (b.lo > a.hi) break;  // sorted by lo: no further overlaps
-          if (a.net == b.net) continue;
-          const int track_a = routes.track_of(a.net);
-          const int track_b = routes.track_of(b.net);
-          if (std::abs(track_a - track_b) != 1) continue;  // not adjacent
-          const int overlap = std::min(a.hi, b.hi) - std::max(a.lo, b.lo) + 1;
-          const int fam = tightest_family(GuidelineCategory::Metal, 18, 23,
-                                          overlap);
-          if (fam < 0) continue;
-          const std::uint16_t gid =
-              guideline_id(GuidelineCategory::Metal, fam);
-          const std::uint64_t pair_key =
-              (static_cast<std::uint64_t>(
-                   std::min(a.net.value(), b.net.value()))
-               << 40) |
-              (static_cast<std::uint64_t>(
-                   std::max(a.net.value(), b.net.value()))
-               << 8) |
-              gid;
-          if (!seen.insert(pair_key).second) continue;
-          for (const BridgeType type : {BridgeType::DomAnd, BridgeType::DomOr}) {
-            for (const bool victim_is_a : {true, false}) {
-              Fault f;
-              f.kind = FaultKind::Bridge;
-              f.scope = FaultScope::External;
-              f.victim = victim_is_a ? a.net : b.net;
-              f.aggressor = victim_is_a ? b.net : a.net;
-              f.bridge_type = type;
-              f.guideline = gid;
-              out.push_back(f);
-            }
+        by_bucket[fill[bucket_of[i]]++] = static_cast<std::uint32_t>(i);
+      }
+    }
+    const auto before = [&](std::uint32_t x, std::uint32_t y) {
+      return segs[x].lo != segs[y].lo ? segs[x].lo < segs[y].lo : x < y;
+    };
+    for (std::size_t b = 0; b < num_buckets; ++b) {
+      std::sort(by_bucket.begin() + bucket_start[b],
+                by_bucket.begin() + bucket_start[b + 1], before);
+    }
+
+    // One bridge per (net pair, guideline), however many lines or runs
+    // violate it; the key packs (lower net, higher net, guideline).
+    PairKeySet pairs;
+    const auto emit_bridges = [&](const RouteSegment& a,
+                                  const RouteSegment& b) {
+      const int overlap = std::min(a.hi, b.hi) - std::max(a.lo, b.lo) + 1;
+      const int fam = parallel_run_family(overlap);
+      if (fam < 0) return;
+      const std::uint16_t gid = guideline_id(GuidelineCategory::Metal, fam);
+      const std::uint64_t pair_key =
+          (static_cast<std::uint64_t>(std::min(a.net.value(), b.net.value()))
+           << 40) |
+          (static_cast<std::uint64_t>(std::max(a.net.value(), b.net.value()))
+           << 8) |
+          gid;
+      if (!pairs.insert(pair_key)) return;
+      for (const BridgeType type : {BridgeType::DomAnd, BridgeType::DomOr}) {
+        for (const bool victim_is_a : {true, false}) {
+          Fault f;
+          f.kind = FaultKind::Bridge;
+          f.scope = FaultScope::External;
+          f.victim = victim_is_a ? a.net : b.net;
+          f.aggressor = victim_is_a ? b.net : a.net;
+          f.bridge_type = type;
+          f.guideline = gid;
+          out.push_back(f);
+        }
+      }
+    };
+    // Two adjacent tracks are walked in merged (lo, index) order; each
+    // segment is paired with the other track's later segments that
+    // start inside it, so every overlapping pair is met exactly once,
+    // from its earlier segment.
+    for (std::size_t line_first = 0; line_first < num_buckets;
+         line_first += tracks) {
+      for (int t = 0; t + 1 < tracks; ++t) {
+        std::uint32_t i = bucket_start[line_first + t];
+        std::uint32_t j = bucket_start[line_first + t + 1];
+        const std::uint32_t i_end = j;
+        const std::uint32_t j_end = bucket_start[line_first + t + 2];
+        while (i < i_end && j < j_end) {
+          const bool from_low = before(by_bucket[i], by_bucket[j]);
+          const RouteSegment& a = segs[from_low ? by_bucket[i] : by_bucket[j]];
+          const std::uint32_t other_end = from_low ? j_end : i_end;
+          for (std::uint32_t k = from_low ? j : i;
+               k < other_end && segs[by_bucket[k]].lo <= a.hi; ++k) {
+            emit_bridges(a, segs[by_bucket[k]]);
           }
+          ++(from_low ? i : j);
         }
       }
     }
@@ -247,10 +355,10 @@ FaultUniverse extract_dfm_faults(const Netlist& nl, const Placement& pl,
   // ---- Density windows ----
   {
     // Per-gcell cell occupancy from the placement.
-    const int gw = routes.grid_w, gh = routes.grid_h;
     const int gcell_sites = routes.options.gcell_sites *
                             routes.options.gcell_rows;
-    std::vector<double> occupancy(static_cast<std::size_t>(gw) * gh, 0.0);
+    const std::size_t num_gcells = static_cast<std::size_t>(gw) * gh;
+    std::vector<double> occupancy(num_gcells, 0.0);
     for (GateId g : nl.live_gates()) {
       const auto& p = pl.of(g);
       if (!p.valid()) continue;
@@ -259,17 +367,43 @@ FaultUniverse extract_dfm_faults(const Netlist& nl, const Placement& pl,
       occupancy[routes.cell(gx, gy)] +=
           static_cast<double>(nl.cell_of(g).width_sites) / gcell_sites;
     }
-    // Nets present per gcell (deduplicated via last-writer check).
-    std::vector<std::vector<NetId>> nets_in(static_cast<std::size_t>(gw) * gh);
-    for (const RouteSegment& s : routes.segments) {
-      for (int t = s.lo; t <= s.hi; ++t) {
-        const int x = s.horizontal ? t : s.fixed;
-        const int y = s.horizontal ? s.fixed : t;
-        auto& bucket = nets_in[routes.cell(x, y)];
-        if (bucket.empty() || bucket.back() != s.net) bucket.push_back(s.net);
+    // Nets present per gcell as CSR. A net is listed again only after
+    // another net has written the gcell (last-writer dedupe), so a net
+    // interleaved with others along one gcell counts more than once.
+    // Both passes walk the segments identically.
+    constexpr std::uint32_t kNoWriter = ~std::uint32_t{0};
+    std::vector<std::uint32_t> last_writer(num_gcells, kNoWriter);
+    std::vector<std::uint32_t> gcell_start(num_gcells + 1, 0);
+    const auto for_each_listing = [&](auto&& visit) {
+      for (const RouteSegment& s : segs) {
+        for (int t = s.lo; t <= s.hi; ++t) {
+          const std::size_t c = s.horizontal ? routes.cell(t, s.fixed)
+                                             : routes.cell(s.fixed, t);
+          if (last_writer[c] == s.net.value()) continue;
+          last_writer[c] = s.net.value();
+          visit(c, s.net.value());
+        }
       }
+    };
+    for_each_listing(
+        [&](std::size_t c, std::uint32_t) { ++gcell_start[c + 1]; });
+    std::partial_sum(gcell_start.begin(), gcell_start.end(),
+                     gcell_start.begin());
+    std::vector<std::uint32_t> gcell_nets(gcell_start[num_gcells]);
+    {
+      std::vector<std::uint32_t> fill(gcell_start.begin(),
+                                      gcell_start.end() - 1);
+      std::fill(last_writer.begin(), last_writer.end(), kNoWriter);
+      for_each_listing([&](std::size_t c, std::uint32_t net) {
+        gcell_nets[fill[c]++] = net;
+      });
     }
 
+    // Per-window net counts saturate at two, so they are two dense
+    // bitmaps over net ids: listed once, and listed at least twice.
+    const std::size_t words = (net_slots + 63) / 64;
+    std::vector<std::uint64_t> listed_once(words), listed_twice(words);
+    std::vector<std::uint32_t> inside;
     constexpr int kWindow = 4, kStride = 2;
     const double cap2 = 2.0 * routes.options.capacity_per_layer;
     for (int wy = 0; wy < gh; wy += kStride) {
@@ -278,32 +412,52 @@ FaultUniverse extract_dfm_faults(const Netlist& nl, const Placement& pl,
         const int y1 = std::min(wy + kWindow, gh);
         double util = 0.0, wiring = 0.0;
         int cells = 0;
-        std::unordered_map<std::uint32_t, int> net_gcells;
         for (int y = wy; y < y1; ++y) {
           for (int x = wx; x < x1; ++x) {
             const std::size_t c = routes.cell(x, y);
             util += occupancy[c];
             wiring += (routes.h_usage[c] + routes.v_usage[c]) / cap2;
             ++cells;
-            for (NetId n : nets_in[c]) ++net_gcells[n.value()];
           }
         }
-        if (cells == 0) continue;
         util /= cells;
         wiring /= cells;
 
-        int fam_high = tightest_family(GuidelineCategory::Density, 0, 3, util);
-        int fam_low =
-            tightest_family_low(GuidelineCategory::Density, 4, 7, util);
-        int fam_wiring =
-            tightest_family(GuidelineCategory::Density, 8, 10, wiring);
-        for (const int fam : {fam_high, fam_low, fam_wiring}) {
+        const int fams[] = {
+            tightest_family(GuidelineCategory::Density, 0, 3, util),
+            tightest_family_low(GuidelineCategory::Density, 4, 7, util),
+            tightest_family(GuidelineCategory::Density, 8, 10, wiring)};
+        if (fams[0] < 0 && fams[1] < 0 && fams[2] < 0) continue;
+
+        // Only wires really inside the window (listed in >= 2 of its
+        // gcells) are faulted, in ascending net id order.
+        for (int y = wy; y < y1; ++y) {
+          for (int x = wx; x < x1; ++x) {
+            const std::size_t c = routes.cell(x, y);
+            for (std::uint32_t k = gcell_start[c]; k < gcell_start[c + 1];
+                 ++k) {
+              const std::uint32_t n = gcell_nets[k];
+              const std::uint64_t bit = std::uint64_t{1} << (n & 63);
+              listed_twice[n >> 6] |= listed_once[n >> 6] & bit;
+              listed_once[n >> 6] |= bit;
+            }
+          }
+        }
+        inside.clear();
+        for (std::size_t w = 0; w < words; ++w) {
+          listed_once[w] = 0;
+          for (std::uint64_t bits = std::exchange(listed_twice[w], 0);
+               bits != 0; bits &= bits - 1) {
+            inside.push_back(static_cast<std::uint32_t>(
+                w * 64 + std::countr_zero(bits)));
+          }
+        }
+        for (const int fam : fams) {
           if (fam < 0) continue;
           const std::uint16_t gid =
               guideline_id(GuidelineCategory::Density, fam);
-          for (const auto& [net_value, count] : net_gcells) {
-            if (count < 2) continue;  // only wires really inside the window
-            push_pair(FaultKind::Transition, NetId{net_value}, gid);
+          for (const std::uint32_t n : inside) {
+            push_pair(FaultKind::Transition, NetId{n}, gid);
           }
         }
       }

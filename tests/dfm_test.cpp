@@ -244,5 +244,277 @@ TEST_F(DfmExtraction, FaultMultisetPinned) {
   }
 }
 
+/// A netlist of primary inputs (plus any gates a test adds) with an
+/// empty routing grid for a test to draw segments on. No gate is placed
+/// and every net route is empty, so nothing fires but what a test draws:
+/// bridges, and low-density windows (utilization 0 violates the
+/// tightest low-density rule everywhere).
+class HandBuilt : public ::testing::Test {
+ protected:
+  HandBuilt() : lib_(osu018_library()), udfm_(*lib_), nl_(lib_, "hand") {
+    for (int i = 0; i < 64; ++i) pis_.push_back(nl_.add_primary_input());
+  }
+
+  void grid(int w, int h, int tracks = 8) {
+    routes_ = {};
+    routes_.options.capacity_per_layer = tracks;
+    routes_.grid_w = w;
+    routes_.grid_h = h;
+    routes_.h_usage.assign(static_cast<std::size_t>(w) * h, 0);
+    routes_.v_usage.assign(static_cast<std::size_t>(w) * h, 0);
+  }
+
+  void run(NetId net, bool horizontal, int fixed, int lo, int hi) {
+    routes_.segments.push_back({net, horizontal, fixed, lo, hi});
+  }
+
+  /// Primary-input nets on `count` distinct routing tracks t, t+1, ...
+  std::vector<NetId> on_tracks(int t, int count) {
+    std::vector<NetId> out;
+    for (int k = 0; k < count; ++k) {
+      for (NetId n : pis_) {
+        if (routes_.track_of(n) == t + k) {
+          out.push_back(n);
+          break;
+        }
+      }
+    }
+    return out;
+  }
+
+  FaultUniverse extract() {
+    pl_.pos.resize(nl_.gate_capacity());
+    routes_.nets.assign(nl_.net_capacity(), {});
+    return extract_dfm_faults(nl_, pl_, routes_, udfm_);
+  }
+
+  static std::vector<Fault> of_kind(const FaultUniverse& u, FaultKind k) {
+    std::vector<Fault> out;
+    for (const Fault& f : u.faults) {
+      if (f.kind == k && f.scope == FaultScope::External) out.push_back(f);
+    }
+    return out;
+  }
+
+  /// (victim, guideline) of every density fault, once per value pair.
+  static std::vector<std::pair<std::uint32_t, std::uint16_t>> density(
+      const FaultUniverse& u) {
+    std::vector<std::pair<std::uint32_t, std::uint16_t>> out;
+    for (const Fault& f : of_kind(u, FaultKind::Transition)) {
+      if (all_guidelines()[f.guideline].category ==
+              GuidelineCategory::Density &&
+          !f.value) {
+        out.emplace_back(f.victim.value(), f.guideline);
+      }
+    }
+    return out;
+  }
+
+  static std::uint16_t metal(int i) {
+    return guideline_id(GuidelineCategory::Metal, i);
+  }
+  static std::uint16_t density_rule(int i) {
+    return guideline_id(GuidelineCategory::Density, i);
+  }
+
+  std::shared_ptr<const Library> lib_;
+  UdfmMap udfm_;
+  Netlist nl_;
+  std::vector<NetId> pis_;
+  Placement pl_;
+  RoutingResult routes_;
+};
+
+TEST_F(HandBuilt, BridgesOnlyBetweenAdjacentTracks) {
+  grid(32, 4);
+  const std::vector<NetId> n = on_tracks(2, 3);
+  ASSERT_EQ(n.size(), 3u);
+  NetId same_track;
+  for (NetId p : pis_) {
+    if (p != n[0] && routes_.track_of(p) == routes_.track_of(n[0])) {
+      same_track = p;
+    }
+  }
+  ASSERT_TRUE(same_track.valid());
+  // Net n[0] (track 2) runs beside track 3 on row 0, beside track 4 on
+  // row 1 and beside another track-2 net on row 2, 20 gcells each; only
+  // the first pair is on adjacent tracks.
+  int row = 0;
+  for (NetId other : {n[1], n[2], same_track}) {
+    run(n[0], true, row, 0, 19);
+    run(other, true, row, 0, 19);
+    ++row;
+  }
+  const std::vector<Fault> bridges = of_kind(extract(), FaultKind::Bridge);
+  ASSERT_EQ(bridges.size(), 4u);
+  for (const Fault& f : bridges) {
+    EXPECT_EQ(std::minmax(f.victim.value(), f.aggressor.value()),
+              std::minmax(n[0].value(), n[1].value()));
+  }
+}
+
+TEST_F(HandBuilt, ParallelRunFamilyBoundaries) {
+  // Guidelines 18-23 are parallel runs of >= 6, 8, 10, 12, 16, 20
+  // gcells; a run takes the tightest family it reaches.
+  const struct {
+    int overlap;
+    int family;  ///< Metal index, -1 = no bridge
+  } kCases[] = {{1, -1},  {5, -1},  {6, 18},  {7, 18},  {8, 19},
+                {9, 19},  {10, 20}, {11, 20}, {12, 21}, {15, 21},
+                {16, 22}, {19, 22}, {20, 23}, {21, 23}, {40, 23}};
+  for (const auto& c : kCases) {
+    // Vertical runs on column 3 sharing exactly `overlap` gcells.
+    grid(8, 64);
+    const std::vector<NetId> n = on_tracks(4, 2);
+    ASSERT_EQ(n.size(), 2u);
+    run(n[0], false, 3, 0, 45);
+    run(n[1], false, 3, 46 - c.overlap, 60);
+    const std::vector<Fault> bridges = of_kind(extract(), FaultKind::Bridge);
+    if (c.family < 0) {
+      EXPECT_TRUE(bridges.empty()) << "overlap " << c.overlap;
+      continue;
+    }
+    ASSERT_EQ(bridges.size(), 4u) << "overlap " << c.overlap;
+    for (const Fault& f : bridges) {
+      EXPECT_EQ(f.guideline, metal(c.family)) << "overlap " << c.overlap;
+    }
+  }
+}
+
+TEST_F(HandBuilt, BridgeEmitsBothVictimsAndBothTypes) {
+  grid(32, 4);
+  const std::vector<NetId> n = on_tracks(0, 2);
+  ASSERT_EQ(n.size(), 2u);
+  run(n[1], true, 2, 3, 14);
+  run(n[0], true, 2, 0, 9);
+  std::set<std::tuple<std::uint32_t, std::uint32_t, BridgeType>> got;
+  for (const Fault& f : of_kind(extract(), FaultKind::Bridge)) {
+    EXPECT_EQ(f.guideline, metal(18));  // 7 shared gcells
+    got.emplace(f.victim.value(), f.aggressor.value(), f.bridge_type);
+  }
+  const std::uint32_t a = n[0].value(), b = n[1].value();
+  const std::set<std::tuple<std::uint32_t, std::uint32_t, BridgeType>>
+      expected = {{a, b, BridgeType::DomAnd},
+                  {b, a, BridgeType::DomAnd},
+                  {a, b, BridgeType::DomOr},
+                  {b, a, BridgeType::DomOr}};
+  EXPECT_EQ(got, expected);
+}
+
+TEST_F(HandBuilt, BridgePairDedupedAcrossLines) {
+  grid(32, 32);
+  const std::vector<NetId> n = on_tracks(5, 2);
+  ASSERT_EQ(n.size(), 2u);
+  // The same 8-gcell family on two rows and a column, listed with the
+  // nets in both orders: one bridge target.
+  for (const int row : {3, 9}) {
+    run(n[0], true, row, 0, 7);
+    run(n[1], true, row, 0, 7);
+  }
+  run(n[1], false, 20, 10, 17);
+  run(n[0], false, 20, 10, 17);
+  EXPECT_EQ(of_kind(extract(), FaultKind::Bridge).size(), 4u);
+  // A longer run elsewhere is another guideline, so another target.
+  run(n[0], false, 25, 0, 19);
+  run(n[1], false, 25, 0, 19);
+  const std::vector<Fault> bridges = of_kind(extract(), FaultKind::Bridge);
+  ASSERT_EQ(bridges.size(), 8u);
+  std::multiset<std::uint16_t> guidelines;
+  for (const Fault& f : bridges) guidelines.insert(f.guideline);
+  EXPECT_EQ(guidelines.count(metal(19)), 4u);
+  EXPECT_EQ(guidelines.count(metal(23)), 4u);
+}
+
+TEST_F(HandBuilt, DensityNeedsTwoGcellsOfTheWindow) {
+  // One 4x1 window (plus its clipped neighbour at x = 2): net 0 crosses
+  // two gcells, net 1 only one.
+  grid(4, 1);
+  run(pis_[0], true, 0, 0, 1);
+  run(pis_[1], true, 0, 3, 3);
+  const auto got = density(extract());
+  const std::vector<std::pair<std::uint32_t, std::uint16_t>> expected = {
+      {pis_[0].value(), density_rule(7)}};
+  EXPECT_EQ(got, expected);
+}
+
+TEST_F(HandBuilt, ClippedEdgeWindowsAverageTheirOwnGcells) {
+  // Gcells are one cell wide; two cells fill gcells 4 and 5 of a 6x1
+  // grid. Windows start at x = 0, 2, 4: the first is empty (low
+  // density), the second half full (no rule), the clipped third full.
+  // A net crossing gcells 4-5 gets only the high-density fault, which a
+  // window averaging over four gcells would not produce.
+  const NetId in = pis_[0];
+  std::vector<GateId> cells;
+  for (int i = 0; i < 2; ++i) {
+    cells.push_back(nl_.add_gate(lib_->require("INVX1"),
+                                 std::vector<NetId>{in}));
+  }
+  grid(6, 1);
+  routes_.options.gcell_sites = nl_.cell_of(cells[0]).width_sites;
+  routes_.options.gcell_rows = 1;
+  pl_.pos.resize(nl_.gate_capacity());
+  pl_.pos[cells[0].value()] = {4 * routes_.options.gcell_sites, 0};
+  pl_.pos[cells[1].value()] = {5 * routes_.options.gcell_sites, 0};
+  run(pis_[1], true, 0, 4, 5);
+  run(pis_[2], true, 0, 0, 1);
+  const auto got = density(extract());
+  // density.window.high.95 for the edge net, low.06 for the net in the
+  // empty window.
+  const std::vector<std::pair<std::uint32_t, std::uint16_t>> expected = {
+      {pis_[2].value(), density_rule(7)}, {pis_[1].value(), density_rule(3)}};
+  EXPECT_EQ(got, expected);
+}
+
+TEST_F(HandBuilt, GcellNetListsUseLastWriterDedupe) {
+  // A 1x1 grid is a single clipped window over one gcell. A net is
+  // listed again only after another net wrote the gcell, so A, B, A
+  // counts A twice (faulted) while A, A, B counts it once.
+  const NetId a = pis_[0], b = pis_[1];
+  grid(1, 1);
+  run(a, true, 0, 0, 0);
+  run(b, false, 0, 0, 0);
+  run(a, false, 0, 0, 0);
+  const std::vector<std::pair<std::uint32_t, std::uint16_t>> a_only = {
+      {a.value(), density_rule(7)}};
+  EXPECT_EQ(density(extract()), a_only);
+
+  grid(1, 1);
+  run(a, true, 0, 0, 0);
+  run(a, false, 0, 0, 0);
+  run(b, false, 0, 0, 0);
+  EXPECT_TRUE(density(extract()).empty());
+}
+
+TEST_F(HandBuilt, OrderIsCanonical) {
+  // Density faults come out by ascending net id however the segments
+  // are listed, and two calls agree fault for fault.
+  grid(4, 1);
+  for (int i = 9; i >= 0; --i) run(pis_[i], true, 0, 0, 3);
+  const FaultUniverse first = extract();
+  const auto got = density(first);
+  ASSERT_EQ(got.size(), 10u);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].first, pis_[i].value());
+  }
+  const FaultUniverse second = extract();
+  ASSERT_EQ(first.size(), second.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_TRUE(first.faults[i].key() == second.faults[i].key() &&
+                first.faults[i].guideline == second.faults[i].guideline)
+        << "fault " << i;
+  }
+}
+
+TEST_F(DfmExtraction, RepeatedCallsAgreeFaultForFault) {
+  const FaultUniverse again =
+      extract_dfm_faults(nl_, placement_, routes_, udfm_);
+  ASSERT_EQ(again.size(), universe_.size());
+  for (std::size_t i = 0; i < again.size(); ++i) {
+    ASSERT_TRUE(again.faults[i].key() == universe_.faults[i].key() &&
+                again.faults[i].guideline == universe_.faults[i].guideline)
+        << "fault " << i;
+  }
+}
+
 }  // namespace
 }  // namespace dfmres
