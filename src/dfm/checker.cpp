@@ -71,45 +71,6 @@ int parallel_run_family(int overlap) {
   return table[std::clamp(overlap, 0, static_cast<int>(table.size()) - 1)];
 }
 
-/// Set of nonzero 64-bit keys: open addressing with linear probing,
-/// power-of-two capacity kept at most half full.
-class PairKeySet {
- public:
-  /// Adds `key`; false if it was already present.
-  bool insert(std::uint64_t key) {
-    assert(key != 0);
-    if ((size_ + 1) * 2 > slots_.size()) grow();
-    std::size_t i = slot_of(key);
-    while (slots_[i] != 0) {
-      if (slots_[i] == key) return false;
-      i = (i + 1) & (slots_.size() - 1);
-    }
-    slots_[i] = key;
-    ++size_;
-    return true;
-  }
-
- private:
-  [[nodiscard]] std::size_t slot_of(std::uint64_t key) const {
-    return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >> shift_);
-  }
-  void grow() {
-    std::vector<std::uint64_t> old(slots_.size() * 2, 0);
-    old.swap(slots_);
-    --shift_;
-    for (const std::uint64_t key : old) {
-      if (key == 0) continue;
-      std::size_t i = slot_of(key);
-      while (slots_[i] != 0) i = (i + 1) & (slots_.size() - 1);
-      slots_[i] = key;
-    }
-  }
-
-  std::vector<std::uint64_t> slots_ = std::vector<std::uint64_t>(64, 0);
-  int shift_ = 64 - 6;
-  std::size_t size_ = 0;
-};
-
 /// The internal faults one instance of `spec` contributes, in extraction
 /// order, with `owner` and `victim` left for the caller to fill in.
 std::vector<Fault> cell_fault_template(const CellSpec& spec,
@@ -298,34 +259,25 @@ FaultUniverse extract_dfm_faults(const Netlist& nl, const Placement& pl,
                 by_bucket.begin() + bucket_start[b + 1], before);
     }
 
-    // One bridge per (net pair, guideline), however many lines or runs
-    // violate it; the key packs (lower net, higher net, guideline).
-    PairKeySet pairs;
-    const auto emit_bridges = [&](const RouteSegment& a,
-                                  const RouteSegment& b) {
+    // Bridge targets, one per (net pair, guideline) however many lines
+    // or runs violate it: collected, then sorted and deduplicated.
+    struct BridgeTarget {
+      std::uint64_t nets;  ///< lower net id << 32 | higher net id
+      std::uint16_t guideline;
+      bool operator==(const BridgeTarget&) const = default;
+      bool operator<(const BridgeTarget& o) const {
+        return nets != o.nets ? nets < o.nets : guideline < o.guideline;
+      }
+    };
+    std::vector<BridgeTarget> targets;
+    const auto add_target = [&](const RouteSegment& a, const RouteSegment& b) {
       const int overlap = std::min(a.hi, b.hi) - std::max(a.lo, b.lo) + 1;
       const int fam = parallel_run_family(overlap);
       if (fam < 0) return;
-      const std::uint16_t gid = guideline_id(GuidelineCategory::Metal, fam);
-      const std::uint64_t pair_key =
-          (static_cast<std::uint64_t>(std::min(a.net.value(), b.net.value()))
-           << 40) |
-          (static_cast<std::uint64_t>(std::max(a.net.value(), b.net.value()))
-           << 8) |
-          gid;
-      if (!pairs.insert(pair_key)) return;
-      for (const BridgeType type : {BridgeType::DomAnd, BridgeType::DomOr}) {
-        for (const bool victim_is_a : {true, false}) {
-          Fault f;
-          f.kind = FaultKind::Bridge;
-          f.scope = FaultScope::External;
-          f.victim = victim_is_a ? a.net : b.net;
-          f.aggressor = victim_is_a ? b.net : a.net;
-          f.bridge_type = type;
-          f.guideline = gid;
-          out.push_back(f);
-        }
-      }
+      const std::uint64_t low = std::min(a.net.value(), b.net.value());
+      const std::uint64_t high = std::max(a.net.value(), b.net.value());
+      targets.push_back({low << 32 | high,
+                         guideline_id(GuidelineCategory::Metal, fam)});
     };
     // Two adjacent tracks are walked in merged (lo, index) order; each
     // segment is paired with the other track's later segments that
@@ -339,14 +291,32 @@ FaultUniverse extract_dfm_faults(const Netlist& nl, const Placement& pl,
         const std::uint32_t i_end = j;
         const std::uint32_t j_end = bucket_start[line_first + t + 2];
         while (i < i_end && j < j_end) {
-          const bool from_low = before(by_bucket[i], by_bucket[j]);
-          const RouteSegment& a = segs[from_low ? by_bucket[i] : by_bucket[j]];
-          const std::uint32_t other_end = from_low ? j_end : i_end;
-          for (std::uint32_t k = from_low ? j : i;
+          const bool in_t = before(by_bucket[i], by_bucket[j]);
+          const RouteSegment& a = segs[in_t ? by_bucket[i] : by_bucket[j]];
+          const std::uint32_t other_end = in_t ? j_end : i_end;
+          for (std::uint32_t k = in_t ? j : i;
                k < other_end && segs[by_bucket[k]].lo <= a.hi; ++k) {
-            emit_bridges(a, segs[by_bucket[k]]);
+            add_target(a, segs[by_bucket[k]]);
           }
-          ++(from_low ? i : j);
+          ++(in_t ? i : j);
+        }
+      }
+    }
+    std::sort(targets.begin(), targets.end());
+    targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
+    for (const BridgeTarget& t : targets) {
+      const NetId low{static_cast<std::uint32_t>(t.nets >> 32)};
+      const NetId high{static_cast<std::uint32_t>(t.nets)};
+      for (const BridgeType type : {BridgeType::DomAnd, BridgeType::DomOr}) {
+        for (const bool victim_low : {true, false}) {
+          Fault f;
+          f.kind = FaultKind::Bridge;
+          f.scope = FaultScope::External;
+          f.victim = victim_low ? low : high;
+          f.aggressor = victim_low ? high : low;
+          f.bridge_type = type;
+          f.guideline = t.guideline;
+          out.push_back(f);
         }
       }
     }

@@ -36,16 +36,14 @@ namespace dfmres {
 /// The order is canonical: a function of net ids and geometry only, so
 /// equal inputs give the same universe fault for fault. Sections come
 /// in this order: internal faults (live gates in id order), vias (in
-/// `routes.vias` order), per-net rules (live nets in id order), bridges,
-/// density. Bridges go line by line (vertical lines by column, then
-/// horizontal lines by row), then by adjacent track pair (t, t + 1),
-/// then by the pair's segment that comes first by (lo, segment index).
-/// Density windows go row-major from the origin, and each firing rule
-/// emits the window's nets by ascending id. A (net, guideline) or
-/// (net pair, guideline) target is listed where it first occurs. Only
-/// this order is the implementation's choice: which faults are emitted,
-/// and how many times, is fixed by the rules above, and any rewrite of
-/// the scan must emit the same multiset (tests/dfm_test.cpp pins it).
+/// `routes.vias` order), per-net rules (live nets in id order), bridges
+/// by (lower net id, higher net id, guideline), density. Density windows
+/// go row-major from the origin, and each firing rule emits the window's
+/// nets by ascending id. A (net, guideline) target is listed where it
+/// first occurs. Only this order is the implementation's choice: which
+/// faults are emitted, and how many times, is fixed by the rules above,
+/// and any rewrite of the scan must emit the same multiset
+/// (tests/dfm_test.cpp pins it).
 [[nodiscard]] FaultUniverse extract_dfm_faults(const Netlist& nl,
                                                const Placement& pl,
                                                const RoutingResult& routes,

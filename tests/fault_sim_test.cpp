@@ -410,8 +410,8 @@ TEST(EnginePinned, ColdRunOutputMatchesRecordedHash) {
     const char* block;
     std::uint64_t hash;
   } kPinned[] = {
-      {"sparc_tlu", 0xaf0c413529851276ull},
-      {"tv80", 0xc235a2bd74b4636full},
+      {"sparc_tlu", 0x57f561d054dd44d8ull},
+      {"tv80", 0xec6b8abc1cc6ffb3ull},
   };
   const UdfmMap udfm(*lib());
   for (const auto& pin : kPinned) {
