@@ -44,8 +44,6 @@ const Netlist& mapped(const std::string& block) {
   return cache.emplace(block, *technology_map(rtl, tlib, mo)).first->second;
 }
 
-const Netlist& mapped_tv80() { return mapped("tv80"); }
-
 void BM_SwitchLevelEval(benchmark::State& state) {
   const auto lib = osu018_library();
   const CellSpec& fa = lib->cell(lib->require("FAX1"));
@@ -67,7 +65,7 @@ void BM_UdfmExtraction(benchmark::State& state) {
 BENCHMARK(BM_UdfmExtraction);
 
 void BM_ParallelSim64(benchmark::State& state) {
-  const Netlist& nl = mapped_tv80();
+  const Netlist& nl = mapped("tv80");
   const CombView view = CombView::build(nl);
   ParallelSimulator sim(nl, view);
   Rng rng(1);
@@ -81,7 +79,7 @@ void BM_ParallelSim64(benchmark::State& state) {
 BENCHMARK(BM_ParallelSim64);
 
 void BM_FaultSimBatch(benchmark::State& state) {
-  const Netlist& nl = mapped_tv80();
+  const Netlist& nl = mapped("tv80");
   const CombView view = CombView::build(nl);
   static DesignFlow flow(osu018_library(), {});
   const FaultUniverse universe = extract_internal_faults(nl, flow.udfm());
@@ -111,7 +109,7 @@ void BM_FaultSimBatch(benchmark::State& state) {
 BENCHMARK(BM_FaultSimBatch);
 
 void BM_PodemDetect(benchmark::State& state) {
-  const Netlist& nl = mapped_tv80();
+  const Netlist& nl = mapped("tv80");
   const CombView view = CombView::build(nl);
   static DesignFlow flow(osu018_library(), {});
   const FaultUniverse universe = extract_internal_faults(nl, flow.udfm());
@@ -145,7 +143,7 @@ void BM_TechnologyMap(benchmark::State& state) {
 BENCHMARK(BM_TechnologyMap);
 
 void BM_PlaceAndRoute(benchmark::State& state) {
-  const Netlist& nl = mapped_tv80();
+  const Netlist& nl = mapped("tv80");
   const Floorplan plan = make_floorplan(nl);
   for (auto _ : state) {
     const Placement placement = global_place(nl, plan, {});

@@ -10,8 +10,8 @@
 # (sat_test: clause arena garbage collection and watch-list reuse across
 # resets), and the copy-on-write probe overlays
 # (overlay_test — baseline frame aliasing and the per-batch dirty-slot
-# replay are exactly the pointer gymnastics ASan is for). Any report
-# aborts with a non-zero exit.
+# replay are exactly the pointer gymnastics ASan is for), and the flat
+# DFM extractor (dfm_test). Any report aborts with a non-zero exit.
 # Usage: scripts/run_asan.sh [build-dir]
 set -eu
 
@@ -22,7 +22,7 @@ cmake -B "$BUILD_DIR" -S . -DDFMRES_SANITIZE=address \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
   --target warm_start_test core_test atpg_test overlay_test fault_sim_test \
-  lease_test sat_test
+  lease_test sat_test dfm_test
 
 # Fail loudly on the first report from either sanitizer.
 SAN_ENV="halt_on_error=1 exitcode=66"
@@ -46,6 +46,10 @@ ASAN_OPTIONS="$SAN_ENV" UBSAN_OPTIONS="$SAN_ENV" \
 # lane masks.
 ASAN_OPTIONS="$SAN_ENV" UBSAN_OPTIONS="$SAN_ENV" \
   "$BUILD_DIR/tests/fault_sim_test"
+# DFM extraction: CSR bucket offsets, the adjacent-track walk and the
+# per-window bitmaps index flat arrays by net id and gcell.
+ASAN_OPTIONS="$SAN_ENV" UBSAN_OPTIONS="$SAN_ENV" \
+  "$BUILD_DIR/tests/dfm_test"
 # Lease protocol + campaign workers: single-line JSON records, epoch
 # path arithmetic and the shard render/parse round-trip are exactly the
 # string/buffer handling ASan watches. The fork-heavy resume case runs

@@ -403,9 +403,8 @@ std::uint64_t output_hash(const AtpgResult& r) {
 }
 
 TEST(EnginePinned, ColdRunOutputMatchesRecordedHash) {
-  // Statuses are hashed in universe order, so these follow the
-  // extractor's canonical fault order (re-recorded when it replaced
-  // hash-container order); identical for every thread count.
+  // Statuses are hashed in universe order, so these also pin the
+  // extractor's canonical fault order; identical for every thread count.
   const struct {
     const char* block;
     std::uint64_t hash;
