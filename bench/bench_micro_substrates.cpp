@@ -114,6 +114,7 @@ void BM_PodemDetect(benchmark::State& state) {
   static DesignFlow flow(osu018_library(), {});
   const FaultUniverse universe = extract_internal_faults(nl, flow.udfm());
   Podem podem(nl, view, {2500});
+  RelevantRegion region(nl, view);
   std::size_t i = 0;
   std::vector<V3> test;
   for (auto _ : state) {
@@ -121,7 +122,7 @@ void BM_PodemDetect(benchmark::State& state) {
         build_excitations(universe.faults[i % universe.size()], nl,
                           flow.udfm());
     if (!exc.empty()) {
-      benchmark::DoNotOptimize(podem.detect(exc[0], &test));
+      benchmark::DoNotOptimize(podem.search(region.detect(exc[0]), &test));
     }
     ++i;
   }

@@ -354,20 +354,35 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
   phase_span.reset();
   result.counters.phase1_seconds = seconds_since(phase1_start);
 
-  // ---- phase 2: PODEM first pass, SAT on its aborts ----
+  // ---- phase 2: proof memo, PODEM first pass, SAT on its aborts ----
   const auto phase2_start = Clock::now();
   phase_span.emplace("atpg.phase2.podem", "atpg");
   Podem podem(nl, view, {kPodemHandoff, options.cancel});
   // Built on the first handoff; one solver serves the whole run.
   std::optional<SatAtpg> sat;
-  const auto hand_off = [&](Podem::Outcome r) {
-    if (r != Podem::Outcome::Aborted || cancel_expired(options.cancel)) {
-      return false;
+  RelevantRegion region(nl, view);
+  ProofMemo& proofs = arena.proof_memo();
+  // One justify/detect call over the region just built. A memo hit is
+  // final: a U outcome draws no rng and leaves no engine state behind,
+  // so skipping the search changes no status and no test. Only complete
+  // U proofs are stored; an aborted or cancelled call proves nothing.
+  const auto solve = [&](std::vector<V3>* test) {
+    if (proofs.contains(region.signature())) {
+      ++result.counters.proof_memo_hits;
+      return Podem::Outcome::Undetectable;
     }
-    ++result.counters.podem_handoffs;
-    if (!sat) sat.emplace(nl, view, SatAtpg::Config{options.backtrack_limit,
-                                                    options.cancel});
-    return true;
+    Podem::Outcome r = podem.search(region, test);
+    if (r == Podem::Outcome::Aborted && !cancel_expired(options.cancel)) {
+      ++result.counters.podem_handoffs;
+      if (!sat) sat.emplace(nl, view, SatAtpg::Config{options.backtrack_limit,
+                                                      options.cancel});
+      r = region.is_detect() ? sat->detect(region, test)
+                             : sat->justify(region, test);
+    }
+    if (r == Podem::Outcome::Undetectable && !cancel_expired(options.cancel)) {
+      proofs.insert(region.signature());
+    }
+    return r;
   };
   // Process remaining targets; each generated test also drops others.
   std::vector<std::uint32_t> queue = std::move(targets);
@@ -388,8 +403,8 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
       }
       std::vector<V3> assign0;
       if (!frame0.empty()) {
-        auto r = podem.justify(frame0, &assign0);
-        if (hand_off(r)) r = sat->justify(frame0, &assign0);
+        region.justify(frame0);
+        const auto r = solve(&assign0);
         if (r == Podem::Outcome::Undetectable) continue;
         if (r == Podem::Outcome::Aborted) {
           any_aborted = true;
@@ -397,8 +412,8 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
         }
       }
       std::vector<V3> assign1;
-      auto r = podem.detect(exc, &assign1);
-      if (hand_off(r)) r = sat->detect(exc, &assign1);
+      region.detect(exc);
+      const auto r = solve(&assign1);
       if (r == Podem::Outcome::Aborted) {
         any_aborted = true;
         continue;

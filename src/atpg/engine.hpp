@@ -38,9 +38,12 @@ struct FaultStatusCache {
 };
 static_assert(FaultKeyTable<FaultStatus>::kSlotBytes == 16);
 
-/// Backtracks PODEM may spend on one justify/detect before the target
-/// is handed to the SAT stage. A fixed first-pass budget, not an option.
-inline constexpr long kPodemHandoff = 64;
+/// Backtracks PODEM may spend on one justify/detect before the call is
+/// handed to the SAT stage. A fixed first-pass budget, not an option:
+/// shallow enough that SAT proves the hard undetectable calls, deep
+/// enough that PODEM keeps its greedy detects and cheap proofs
+/// (DESIGN.md §18 has the per-call costs that set it).
+inline constexpr long kPodemHandoff = 4;
 
 struct AtpgOptions {
   int random_batches = 8;        ///< 64 random pattern pairs per batch
@@ -126,11 +129,13 @@ struct AtpgResult {
 
 /// Full classification of a DFM fault universe: optional warm-start
 /// replay of a seed test set, random-pattern fault simulation with
-/// dropping, then PODEM with a kPodemHandoff budget for the remainder
-/// and complete SAT-based ATPG for whatever PODEM aborts (detect /
-/// prove-undetectable / abort past `backtrack_limit` conflicts), with
-/// optional test-set generation and
-/// reverse-order compaction. `cache`, when given, is consulted before
+/// dropping, then phase 2 for the remainder. Each phase-2 justify/detect
+/// call builds its RelevantRegion once, returns Undetectable at once if
+/// the arena's proof memo holds the region's signature, else runs PODEM
+/// with a kPodemHandoff budget and complete SAT-based ATPG on PODEM's
+/// abort (detect / prove-undetectable / abort past `backtrack_limit`
+/// conflicts), with optional test-set generation and reverse-order
+/// compaction. `cache`, when given, is consulted before
 /// any search and updated afterwards.
 [[nodiscard]] AtpgResult run_atpg(const Netlist& nl,
                                   const FaultUniverse& universe,

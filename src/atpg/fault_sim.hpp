@@ -11,6 +11,7 @@
 #endif
 
 #include "src/atpg/excitation.hpp"
+#include "src/atpg/region.hpp"
 #include "src/faults/fault_key_table.hpp"
 #include "src/netlist/dense_view.hpp"
 #include "src/netlist/netlist.hpp"
@@ -400,9 +401,17 @@ class FaultSimArena {
     return representatives_;
   }
 
+  /// Phase 2's proof memo: signatures of the regions proven
+  /// undetectable by runs on this arena. Unlike representatives(), runs
+  /// never clear it (a signature covers everything its proof depends on,
+  /// so it stays valid across designs); ProofMemo's entry cap bounds it.
+  /// Each arena owns one, so concurrent ladder lanes share nothing.
+  [[nodiscard]] ProofMemo& proof_memo() { return proof_memo_; }
+
  private:
   std::vector<std::unique_ptr<FaultSimulator>> slots_;
   FaultKeyTable<std::uint32_t> representatives_;
+  ProofMemo proof_memo_;
 #ifndef NDEBUG
   std::thread::id owner_{};
 #endif

@@ -43,18 +43,7 @@ Podem::Podem(const Netlist& nl, const CombView& view, Config config)
       }
     }
   }
-  // Topological positions for cone ordering.
-  topo_pos_.assign(nl.gate_capacity(), 0);
-  for (std::uint32_t i = 0; i < view.order.size(); ++i) {
-    topo_pos_[view.order[i].value()] = i;
-  }
-  in_cone_net_.assign(view.net_slots, 0);
-  cone_seen_gate_.assign(nl.gate_capacity(), 0);
   visited_net_.assign(view.net_slots, 0);
-  relevant_net_.assign(view.net_slots, 0);
-  relevant_gate_.assign(nl.gate_capacity(), 0);
-  observe_flag_.assign(view.net_slots, false);
-  for (NetId obs : view.observe) observe_flag_[obs.value()] = true;
 }
 
 V3 Podem::eval_gate(GateId g, int out) const {
@@ -69,15 +58,15 @@ V3 Podem::eval_gate(GateId g, int out) const {
 }
 
 void Podem::simulate_good() {
-  // Baseline pass for the current search. Only gates in the relevant set
-  // are evaluated: every net the search reads is a source or the output
-  // of a relevant gate (build_relevant closes backward over drivers), so
-  // the skipped gates' stale values are unobservable.
+  // Baseline pass for the current search. Only the region's relevant
+  // gates are evaluated: every net the search reads is a source or the
+  // output of a relevant gate (the region closes backward over drivers),
+  // so the skipped gates' stale values are unobservable.
   for (std::size_t i = 0; i < view_.sources.size(); ++i) {
     value_[view_.sources[i].value()].good = source_assign_[i];
   }
   for (GateId g : view_.order) {
-    if (relevant_gate_[g.value()] != relevant_epoch_) continue;
+    if (!region_->relevant_gate(g)) continue;
     const auto& gate = nl_.gate(g);
     const auto& luts = lut_[gate.cell.value()];
     int idx = 0;
@@ -91,87 +80,27 @@ void Podem::simulate_good() {
   }
 }
 
-void Podem::build_cone(NetId victim) {
-  ++cone_epoch_;
-  cone_gates_.clear();
-  in_cone_net_[victim.value()] = cone_epoch_;
-  // BFS over sinks; gates collected then sorted topologically.
-  scratch_queue_.clear();
-  scratch_queue_.push_back(victim);
-  while (!scratch_queue_.empty()) {
-    const NetId n = scratch_queue_.back();
-    scratch_queue_.pop_back();
-    for (const PinRef& sink : nl_.net(n).sinks) {
-      if (nl_.cell_of(sink.gate).sequential) continue;
-      if (cone_seen_gate_[sink.gate.value()] == cone_epoch_) continue;
-      cone_seen_gate_[sink.gate.value()] = cone_epoch_;
-      cone_gates_.push_back(sink.gate);
-      for (NetId out : nl_.gate(sink.gate).outputs) {
-        if (in_cone_net_[out.value()] != cone_epoch_) {
-          in_cone_net_[out.value()] = cone_epoch_;
-          scratch_queue_.push_back(out);
-        }
-      }
-    }
-  }
-  std::sort(cone_gates_.begin(), cone_gates_.end(),
-            [&](GateId a, GateId b) {
-              return topo_pos_[a.value()] < topo_pos_[b.value()];
-            });
-}
-
-void Podem::build_relevant(std::span<const CondLiteral> lits,
-                           const Excitation* exc) {
-  ++relevant_epoch_;
-  scratch_queue_.clear();
-  const auto push = [&](NetId n) {
-    if (n.valid() && relevant_net_[n.value()] != relevant_epoch_) {
-      relevant_net_[n.value()] = relevant_epoch_;
-      scratch_queue_.push_back(n);
-    }
-  };
-  for (const CondLiteral& lit : lits) push(lit.net);
-  if (exc != nullptr) {
-    push(exc->victim);
-    for (GateId g : cone_gates_) {
-      const auto& gate = nl_.gate(g);
-      for (NetId out : gate.outputs) push(out);
-      for (NetId in : gate.fanin) push(in);
-    }
-  }
-  // Backward closure over combinational drivers; sources terminate.
-  while (!scratch_queue_.empty()) {
-    const NetId n = scratch_queue_.back();
-    scratch_queue_.pop_back();
-    if (source_ordinal_[n.value()] >= 0) continue;
-    const auto& net = nl_.net(n);
-    if (!net.has_gate_driver()) continue;
-    const GateId g = net.driver_gate;
-    if (nl_.cell_of(g).sequential) continue;
-    relevant_gate_[g.value()] = relevant_epoch_;
-    for (NetId in : nl_.gate(g).fanin) push(in);
-  }
-}
-
 V3 Podem::faulty_of(NetId n) const {
-  return in_cone_net_[n.value()] == cone_epoch_ ? value_[n.value()].faulty
-                                                : value_[n.value()].good;
+  return region_->in_cone(n) ? value_[n.value()].faulty
+                              : value_[n.value()].good;
 }
 
-void Podem::simulate_faulty(const Excitation& exc, V3 excited) {
+void Podem::simulate_faulty(V3 excited) {
   // Victim injection on the faulty side; everything outside the victim's
   // fanout cone equals the good machine by construction. Observation is
   // checked in the same pass (one cone walk instead of two).
-  V5& v = value_[exc.victim.value()];
+  const NetId victim = region_->victim();
+  const V3 forced = v3_of(region_->faulty_value());
+  V5& v = value_[victim.value()];
   if (excited == V3::One) {
-    v.faulty = v3_of(exc.faulty_value);
-  } else if (excited == V3::X && v.good != v3_of(exc.faulty_value)) {
+    v.faulty = forced;
+  } else if (excited == V3::X && v.good != forced) {
     v.faulty = V3::X;
   } else {
     v.faulty = v.good;
   }
-  observed_ = observe_flag_[exc.victim.value()] && v.has_fault_effect();
-  for (GateId g : cone_gates_) {
+  observed_ = region_->is_observed(victim) && v.has_fault_effect();
+  for (GateId g : region_->cone_gates()) {
     const auto& gate = nl_.gate(g);
     const auto& luts = lut_[gate.cell.value()];
     int idx = 0;
@@ -182,15 +111,14 @@ void Podem::simulate_faulty(const Excitation& exc, V3 excited) {
       const NetId out = gate.outputs[k];
       V5& ov = value_[out.value()];
       ov.faulty = static_cast<V3>(luts[k][static_cast<std::size_t>(idx)]);
-      observed_ |= observe_flag_[out.value()] && ov.has_fault_effect();
+      observed_ |= region_->is_observed(out) && ov.has_fault_effect();
     }
   }
 }
 
-V3 Podem::excitation_state(std::span<const CondLiteral> lits) const {
+V3 Podem::excitation_state() const {
   bool any_x = false;
-  for (const CondLiteral& lit : lits) {
-    if (lit.frame != 1) continue;
+  for (const CondLiteral& lit : region_->lits()) {
     const V3 v = value_[lit.net.value()].good;
     if (v == V3::X) {
       any_x = true;
@@ -230,26 +158,24 @@ bool Podem::x_path_exists(NetId victim) {
   return false;
 }
 
-std::optional<Podem::Objective> Podem::pick_objective(
-    std::span<const CondLiteral> lits, const Excitation* exc) {
+std::optional<Podem::Objective> Podem::pick_objective() {
   // 1. Unjustified condition literal.
-  for (const CondLiteral& lit : lits) {
-    if (lit.frame != 1) continue;
+  for (const CondLiteral& lit : region_->lits()) {
     if (value_[lit.net.value()].good == V3::X) {
       return Objective{lit.net, lit.value};
     }
   }
-  if (!exc) return std::nullopt;  // pure justification: everything done
+  if (!region_->is_detect()) return std::nullopt;  // justified: done
 
   // 2. Victim good value must oppose the forced value.
-  const V5& v = value_[exc->victim.value()];
-  if (v.good == V3::X) {
-    return Objective{exc->victim, !exc->faulty_value};
+  const NetId victim = region_->victim();
+  if (value_[victim.value()].good == V3::X) {
+    return Objective{victim, !region_->faulty_value()};
   }
 
   // 3. D-frontier inside the victim cone: a gate with a fault effect on
   // an input whose output is still undecided; set one X input to help.
-  for (GateId g : cone_gates_) {
+  for (GateId g : region_->cone_gates()) {
     const auto& gate = nl_.gate(g);
     bool has_d_input = false;
     for (NetId in : gate.fanin) {
@@ -352,14 +278,14 @@ void Podem::assign_source(std::size_t source, V3 v) {
   trail_.push_back({src_net, value_[src_net.value()].good});
   value_[src_net.value()].good = v;
   // Event-driven propagation in topological order, pruned to the gates
-  // the current search can observe (see build_relevant). The heap buffer
+  // the current search can observe (see RelevantRegion). The heap buffer
   // is a member so the per-assignment hot path never allocates.
   auto& queue = event_heap_;
   queue.clear();
   const auto schedule_sinks = [&](NetId n) {
     for (const PinRef& sink : nl_.net(n).sinks) {
-      if (relevant_gate_[sink.gate.value()] != relevant_epoch_) continue;
-      queue.emplace_back(topo_pos_[sink.gate.value()], sink.gate.value());
+      if (!region_->relevant_gate(sink.gate)) continue;
+      queue.emplace_back(region_->topo_pos(sink.gate), sink.gate.value());
       std::push_heap(queue.begin(), queue.end(), std::greater<>{});
     }
   };
@@ -399,11 +325,12 @@ void Podem::undo_last_assignment() {
   }
 }
 
-Podem::Outcome Podem::search(std::span<const CondLiteral> lits,
-                             const Excitation* exc, std::vector<V3>* test) {
+Podem::Outcome Podem::search(const RelevantRegion& region,
+                             std::vector<V3>* test) {
+  assert(&region.netlist() == &nl_);
+  region_ = &region;
+  const bool detect = region.is_detect();
   std::fill(source_assign_.begin(), source_assign_.end(), V3::X);
-  if (exc) build_cone(exc->victim);
-  build_relevant(lits, exc);
   std::vector<Decision>& stack = stack_;
   stack.clear();
   long backtracks = 0;
@@ -412,22 +339,22 @@ Podem::Outcome Podem::search(std::span<const CondLiteral> lits,
   simulate_good();  // all-X baseline; decisions propagate incrementally
 
   for (;;) {
-    const V3 excited = excitation_state(lits);
+    const V3 excited = excitation_state();
     bool need_backtrack = false;
 
     if (excited == V3::Zero) {
       need_backtrack = true;  // a condition literal is definitely broken
-    } else if (exc) {
-      const V5& v = value_[exc->victim.value()];
-      if (v.good == v3_of(exc->faulty_value)) {
+    } else if (detect) {
+      const V5& v = value_[region.victim().value()];
+      if (v.good == v3_of(region.faulty_value())) {
         need_backtrack = true;  // victim cannot oppose the forced value
       } else {
-        simulate_faulty(*exc, excited);
+        simulate_faulty(excited);
         if (observed_) {
           if (test) *test = source_assign_;
           return Outcome::Detected;
         }
-        if (!x_path_exists(exc->victim)) need_backtrack = true;
+        if (!x_path_exists(region.victim())) need_backtrack = true;
       }
     } else if (excited == V3::One) {
       if (test) *test = source_assign_;
@@ -435,7 +362,7 @@ Podem::Outcome Podem::search(std::span<const CondLiteral> lits,
     }
 
     if (!need_backtrack) {
-      const auto obj = pick_objective(lits, exc);
+      const auto obj = pick_objective();
       if (!obj) {
         need_backtrack = true;
       } else {
@@ -467,20 +394,6 @@ Podem::Outcome Podem::search(std::span<const CondLiteral> lits,
     stack.back().value = !stack.back().value;
     assign_source(stack.back().source, v3_of(stack.back().value));
   }
-}
-
-Podem::Outcome Podem::detect(const Excitation& excitation,
-                             std::vector<V3>* test) {
-  return search(excitation.lits, &excitation, test);
-}
-
-Podem::Outcome Podem::justify(std::span<const CondLiteral> lits,
-                              std::vector<V3>* test) {
-  // The engine justifies frame-0 cubes as an independent single-frame
-  // problem; normalize the literals so the search sees all of them.
-  std::vector<CondLiteral> frame1(lits.begin(), lits.end());
-  for (CondLiteral& lit : frame1) lit.frame = 1;
-  return search(frame1, nullptr, test);
 }
 
 }  // namespace dfmres

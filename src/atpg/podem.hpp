@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "src/atpg/excitation.hpp"
+#include "src/atpg/region.hpp"
 #include "src/atpg/values.hpp"
 #include "src/netlist/netlist.hpp"
 #include "src/util/cancel.hpp"
@@ -36,14 +37,15 @@ class Podem {
   Podem(const Netlist& nl, const CombView& view, Config config);
   Podem(const Netlist& nl, const CombView& view) : Podem(nl, view, Config{}) {}
 
-  /// Attempts to detect one excitation (frame-1 literals only; frame-0
-  /// literals are a separate justify() call). On success `*test`
-  /// receives one V3 per source (X = free).
-  Outcome detect(const Excitation& excitation, std::vector<V3>* test);
-
-  /// Justifies a set of (frame-agnostic) literals with no propagation
-  /// requirement; used for the initializing pattern of two-frame faults.
-  Outcome justify(std::span<const CondLiteral> lits, std::vector<V3>* test);
+  /// Searches the call `region` was last built for. A detect region
+  /// (RelevantRegion::detect) justifies its frame-1 literals, makes the
+  /// victim's good value oppose the forced value and propagates the
+  /// difference to an observation point; a justify region
+  /// (RelevantRegion::justify) only justifies its literals. On success
+  /// `*test` receives one V3 per source (X = free). The region must be
+  /// built over this instance's netlist and view, and stays borrowed for
+  /// the call.
+  Outcome search(const RelevantRegion& region, std::vector<V3>* test);
 
   [[nodiscard]] const CombView& view() const { return view_; }
 
@@ -64,35 +66,22 @@ class Podem {
     bool flipped;
   };
 
-  Outcome search(std::span<const CondLiteral> lits, const Excitation* exc,
-                 std::vector<V3>* test);
-
   [[nodiscard]] V3 eval_gate(GateId g, int out) const;
   void simulate_good();
   /// Incremental decision handling: assigning a source propagates events
   /// through its fanout and records an undo trail. Propagation is pruned
-  /// to the gates marked by build_relevant — everything else is dead to
-  /// the current search.
+  /// to the region's relevant gates — everything else is dead to the
+  /// current search, a pure wall-clock pruning with identical outcomes.
   void assign_source(std::size_t source, V3 v);
   void undo_last_assignment();
-  /// Collects the victim's fanout cone (the only region where faulty
-  /// values can differ from good ones).
-  void build_cone(NetId victim);
-  /// Marks the nets/gates the current search can ever read: the victim
-  /// cone (outputs and side inputs), the condition literals, and their
-  /// backward closure over combinational drivers. Values outside this
-  /// set are never consulted by the search, so event propagation skips
-  /// them — a pure wall-clock pruning with identical outcomes.
-  void build_relevant(std::span<const CondLiteral> lits, const Excitation* exc);
   [[nodiscard]] V3 faulty_of(NetId n) const;
   /// Re-simulates the faulty machine over the victim cone and records
   /// whether a fault effect reached an observation point in observed_.
-  void simulate_faulty(const Excitation& exc, V3 excited);
+  void simulate_faulty(V3 excited);
   /// All literals hold / definitely broken / undecided on good values.
-  [[nodiscard]] V3 excitation_state(std::span<const CondLiteral> lits) const;
+  [[nodiscard]] V3 excitation_state() const;
   [[nodiscard]] bool x_path_exists(NetId victim);
-  [[nodiscard]] std::optional<Objective> pick_objective(
-      std::span<const CondLiteral> lits, const Excitation* exc);
+  [[nodiscard]] std::optional<Objective> pick_objective();
   /// Maps an objective to a source assignment, or nullopt on dead end.
   [[nodiscard]] std::optional<Decision> backtrace(Objective obj) const;
 
@@ -104,24 +93,14 @@ class Podem {
   std::vector<std::int32_t> source_ordinal_;  // net slot -> ordinal or -1
   // Ternary LUTs: lut_[cell][output][base-3 input index].
   std::vector<std::array<std::vector<std::uint8_t>, 2>> lut_;
-  std::vector<std::uint32_t> topo_pos_;  // gate slot -> topo position
-  // Victim-cone state (epoch-stamped to avoid clearing).
-  std::vector<GateId> cone_gates_;
-  std::vector<std::uint32_t> in_cone_net_;
-  std::vector<std::uint32_t> cone_seen_gate_;
-  std::uint32_t cone_epoch_ = 0;
+  const RelevantRegion* region_ = nullptr;  // the current search's
   std::vector<std::uint32_t> visited_net_;
   std::uint32_t visit_epoch_ = 0;
-  // Relevant set of the current search (see build_relevant).
-  std::vector<std::uint32_t> relevant_net_;
-  std::vector<std::uint32_t> relevant_gate_;
-  std::uint32_t relevant_epoch_ = 0;
   bool observed_ = false;  // set by simulate_faulty
   std::vector<NetId> scratch_queue_;
   std::vector<Decision> stack_;  // decision stack, reused across searches
   // Min-heap buffer for assign_source's event propagation (reused).
   std::vector<std::pair<std::uint32_t, std::uint32_t>> event_heap_;
-  std::vector<bool> observe_flag_;  // net slot -> is observation point
   struct TrailEntry {
     NetId net;
     V3 old_good;

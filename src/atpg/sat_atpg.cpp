@@ -1,5 +1,6 @@
 #include "src/atpg/sat_atpg.hpp"
 
+#include <cassert>
 #include <chrono>
 
 namespace dfmres {
@@ -27,24 +28,8 @@ SatAtpg::SatAtpg(const Netlist& nl, const CombView& view, Config config)
     : nl_(nl), view_(view), config_(config) {
   good_var_.assign(view.net_slots, kNoVar);
   cone_var_.assign(view.net_slots, kNoVar);
-  gate_done_.assign(nl.gate_capacity(), 0);
   covers_.resize(nl.library().num_cells());
   cover_ready_.assign(nl.library().num_cells(), 0);
-}
-
-bool SatAtpg::is_source(NetId n) const {
-  const auto& net = nl_.net(n);
-  return net.is_primary_input ||
-         (net.has_gate_driver() && nl_.cell_of(net.driver_gate).sequential);
-}
-
-bool SatAtpg::is_observed(NetId n) const {
-  const auto& net = nl_.net(n);
-  if (net.is_primary_output) return true;
-  for (const PinRef& sink : net.sinks) {
-    if (nl_.cell_of(sink.gate).sequential) return true;
-  }
-  return false;
 }
 
 const std::array<std::vector<SatAtpg::Cube>, kMaxCellOutputs>& SatAtpg::cover(
@@ -120,17 +105,10 @@ void SatAtpg::begin() {
   ++stats_.calls;
   solver_.reset();
   // Undo the previous instance's marks (O(its region), not O(netlist)).
-  for (const NetId n : good_nets_) {
-    good_var_[n.value()] = kNoVar;
-    const auto& net = nl_.net(n);
-    if (net.has_gate_driver()) gate_done_[net.driver_gate.value()] = 0;
-  }
-  for (const GateId g : cone_gates_) {
-    for (const NetId out : nl_.gate(g).outputs) cone_var_[out.value()] = kNoVar;
-  }
+  for (const NetId n : good_nets_) good_var_[n.value()] = kNoVar;
+  for (const NetId n : cone_nets_) cone_var_[n.value()] = kNoVar;
   good_nets_.clear();
-  cone_gates_.clear();
-  pending_.clear();
+  cone_nets_.clear();
   const_var_ = solver_.new_var();
   solver_.add_clause({constant(true)});
 }
@@ -139,28 +117,23 @@ SatLit SatAtpg::good(NetId n) {
   std::uint32_t& var = good_var_[n.value()];
   if (var == kNoVar) {
     var = solver_.new_var();
-    pending_.push_back(n);
     good_nets_.push_back(n);
   }
   return SatLit::pos(var);
 }
 
-void SatAtpg::close_good() {
+void SatAtpg::encode_good(const RelevantRegion& region) {
+  for (const NetId n : region.nets()) {
+    const SatLit g = good(n);
+    // Undriven: the fault simulator reads such nets as 0. Sources are
+    // free variables.
+    if (!region.is_source(n) && !nl_.net(n).has_gate_driver()) {
+      solver_.add_clause({~g});
+    }
+  }
   SatLit ins[kMaxCellInputs];
   SatLit outs[kMaxCellOutputs];
-  while (!pending_.empty()) {
-    const NetId n = pending_.back();
-    pending_.pop_back();
-    if (is_source(n)) continue;  // free variable
-    const auto& net = nl_.net(n);
-    if (!net.has_gate_driver()) {
-      // Undriven: the fault simulator reads such nets as 0.
-      solver_.add_clause({~SatLit::pos(good_var_[n.value()])});
-      continue;
-    }
-    const GateId g = net.driver_gate;
-    if (gate_done_[g.value()]) continue;
-    gate_done_[g.value()] = 1;
+  for (const GateId g : region.gates()) {
     const auto& gate = nl_.gate(g);
     for (std::size_t i = 0; i < gate.fanin.size(); ++i) {
       ins[i] = good(gate.fanin[i]);
@@ -195,54 +168,43 @@ Podem::Outcome SatAtpg::finish(std::vector<V3>* test) {
   return Podem::Outcome::Detected;
 }
 
-Podem::Outcome SatAtpg::justify(std::span<const CondLiteral> lits,
+Podem::Outcome SatAtpg::justify(const RelevantRegion& region,
                                 std::vector<V3>* test) {
+  assert(!region.is_detect());
   const auto start = Clock::now();
   begin();
-  for (const CondLiteral& lit : lits) {
+  encode_good(region);
+  for (const CondLiteral& lit : region.lits()) {
     solver_.add_clause({SatLit::of(good(lit.net).var(), lit.value)});
   }
-  close_good();
   const Podem::Outcome r = finish(test);
   stats_.seconds += seconds_since(start);
   return r;
 }
 
-Podem::Outcome SatAtpg::detect(const Excitation& exc, std::vector<V3>* test) {
+Podem::Outcome SatAtpg::detect(const RelevantRegion& region,
+                               std::vector<V3>* test) {
+  assert(region.is_detect());
   const auto start = Clock::now();
   begin();
-  const NetId victim = exc.victim;
-  // The victim's combinational fanout cone. Each cone net gets three
-  // consecutive variables: its faulty value, its difference d_n (good !=
-  // faulty) and its activity a_n (see the path clauses below). The
-  // victim's are constants: faulty = faulty_value, d = a = 1.
-  pending_.push_back(victim);  // reused as the BFS stack below
-  while (!pending_.empty()) {
-    const NetId n = pending_.back();
-    pending_.pop_back();
-    for (const PinRef& sink : nl_.net(n).sinks) {
-      if (nl_.cell_of(sink.gate).sequential) continue;
-      if (gate_done_[sink.gate.value()]) continue;
-      gate_done_[sink.gate.value()] = 1;
-      cone_gates_.push_back(sink.gate);
-      for (NetId out : nl_.gate(sink.gate).outputs) {
-        cone_var_[out.value()] = solver_.new_var();
-        solver_.new_var();
-        solver_.new_var();
-        pending_.push_back(out);
-      }
+  encode_good(region);
+  const NetId victim = region.victim();
+  const bool faulty_value = region.faulty_value();
+  // Each cone net gets three consecutive variables: its faulty value,
+  // its difference d_n (good != faulty) and its activity a_n (see the
+  // path clauses below). The victim's are constants: faulty =
+  // faulty_value, d = a = 1.
+  for (GateId g : region.cone_gates()) {
+    for (NetId out : nl_.gate(g).outputs) {
+      cone_var_[out.value()] = solver_.new_var();
+      solver_.new_var();
+      solver_.new_var();
+      cone_nets_.push_back(out);
     }
   }
-  // gate_done_ marked cone gates only to dedupe the walk; the good copy
-  // must still encode them.
-  for (GateId g : cone_gates_) gate_done_[g.value()] = 0;
-
-  const auto in_cone = [&](NetId n) {
-    return n == victim || cone_var_[n.value()] != kNoVar;
-  };
   const auto faulty = [&](NetId n) {
-    if (n == victim) return constant(exc.faulty_value);
-    return in_cone(n) ? SatLit::pos(cone_var_[n.value()]) : good(n);
+    if (n == victim) return constant(faulty_value);
+    return region.in_cone(n) ? SatLit::pos(cone_var_[n.value()]) : good(n);
   };
   const auto diff = [&](NetId n) {
     return n == victim ? constant(true) : SatLit::pos(cone_var_[n.value()] + 1);
@@ -251,9 +213,8 @@ Podem::Outcome SatAtpg::detect(const Excitation& exc, std::vector<V3>* test) {
     return n == victim ? constant(true) : SatLit::pos(cone_var_[n.value()] + 2);
   };
 
-  solver_.add_clause({SatLit::of(good(victim).var(), !exc.faulty_value)});
-  for (const CondLiteral& lit : exc.lits) {
-    if (lit.frame != 1) continue;
+  solver_.add_clause({SatLit::of(good(victim).var(), !faulty_value)});
+  for (const CondLiteral& lit : region.lits()) {
     solver_.add_clause({SatLit::of(good(lit.net).var(), lit.value)});
   }
   // The faulty cone, then Larrabee's active-path clauses. A net differs
@@ -268,7 +229,7 @@ Podem::Outcome SatAtpg::detect(const Excitation& exc, std::vector<V3>* test) {
   SatLit outs[kMaxCellOutputs];
   observed_.clear();
   const auto extend = [&](NetId n) {
-    if (is_observed(n)) {
+    if (region.is_observed(n)) {
       observed_.push_back(diff(n));
       return;
     }
@@ -282,7 +243,7 @@ Podem::Outcome SatAtpg::detect(const Excitation& exc, std::vector<V3>* test) {
     solver_.add_clause(path_);
   };
   extend(victim);
-  for (GateId g : cone_gates_) {
+  for (GateId g : region.cone_gates()) {
     const auto& gate = nl_.gate(g);
     for (std::size_t i = 0; i < gate.fanin.size(); ++i) {
       ins[i] = faulty(gate.fanin[i]);
@@ -301,14 +262,13 @@ Podem::Outcome SatAtpg::detect(const Excitation& exc, std::vector<V3>* test) {
       solver_.add_clause({~active(out), d});
       path_.assign(1, ~d);
       for (NetId in : gate.fanin) {
-        if (in_cone(in)) path_.push_back(diff(in));
+        if (region.in_cone(in)) path_.push_back(diff(in));
       }
       solver_.add_clause(path_);
       extend(out);
     }
   }
   solver_.add_clause(observed_);  // empty: no observation point reachable
-  close_good();
   const Podem::Outcome r = finish(test);
   stats_.seconds += seconds_since(start);
   return r;

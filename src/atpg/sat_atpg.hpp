@@ -7,6 +7,7 @@
 
 #include "src/atpg/excitation.hpp"
 #include "src/atpg/podem.hpp"
+#include "src/atpg/region.hpp"
 #include "src/atpg/sat.hpp"
 #include "src/atpg/values.hpp"
 #include "src/netlist/netlist.hpp"
@@ -15,15 +16,16 @@
 namespace dfmres {
 
 /// Complete SAT-based test generation (Larrabee, TCAD 1992) over the
-/// same search region as Podem, for the targets PODEM gives up on.
+/// RelevantRegion PODEM searched, for the calls PODEM gives up on.
 ///
-/// detect() encodes a good/faulty miter: good-machine variables over
-/// Podem's relevant closure (the victim cone's nets and side inputs plus
+/// detect() encodes a good/faulty miter: good-machine variables over the
+/// region's relevant nets (the victim cone's nets and side inputs plus
 /// the condition literals, closed backward over drivers), faulty copies
-/// over the victim's fanout cone with the victim forced to its faulty
-/// value, the frame-1 literals and the victim's opposing good value as
-/// unit clauses, and an OR of good != faulty over the cone's observation
-/// points. justify() is the good-machine half alone. Cells are encoded
+/// over the region's cone with the victim forced to its faulty value,
+/// the literals and the victim's opposing good value as unit clauses,
+/// and an OR of good != faulty over the cone's observation points.
+/// justify() is the good-machine half alone. Both read the region's
+/// lists and walk no netlist structure of their own. Cells are encoded
 /// from their truth tables as prime-implicant clauses, so unit
 /// propagation is as strong as three-valued simulation in both
 /// directions. Nets with neither a source nor a combinational driver
@@ -50,13 +52,13 @@ class SatAtpg {
 
   SatAtpg(const Netlist& nl, const CombView& view, Config config);
 
-  /// Same contract as Podem::detect: Detected with one V3 per source in
-  /// `*test` (X = not in the search region), Undetectable as a proof, or
-  /// Aborted past the conflict limit or on cancellation.
-  Podem::Outcome detect(const Excitation& excitation, std::vector<V3>* test);
+  /// Same contract as Podem::search on a detect region: Detected with
+  /// one V3 per source in `*test` (X = not in the region), Undetectable
+  /// as a proof, or Aborted past the conflict limit or on cancellation.
+  Podem::Outcome detect(const RelevantRegion& region, std::vector<V3>* test);
 
-  /// Same contract as Podem::justify (every literal read as frame 1).
-  Podem::Outcome justify(std::span<const CondLiteral> lits,
+  /// Same contract as Podem::search on a justify region.
+  Podem::Outcome justify(const RelevantRegion& region,
                          std::vector<V3>* test);
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
@@ -72,20 +74,17 @@ class SatAtpg {
 
   static constexpr std::uint32_t kNoVar = 0xffffffffu;
 
-  /// A PI or flop output: a free variable of the instance.
-  [[nodiscard]] bool is_source(NetId n) const;
-  /// A PO or flop input (CombView::observe), read off the netlist.
-  [[nodiscard]] bool is_observed(NetId n) const;
   void begin();
   Podem::Outcome finish(std::vector<V3>* test);
   [[nodiscard]] SatLit constant(bool value) const {
     return SatLit::of(const_var_, value);
   }
-  /// Good-machine literal of `n` (true = net is 1); the first request
-  /// queues the net's driver for encoding.
+  /// Good-machine literal of `n` (true = net is 1), allocated on first
+  /// request.
   SatLit good(NetId n);
-  /// Encodes the drivers of every queued good net, to closure.
-  void close_good();
+  /// The good machine over the region: one variable per relevant net,
+  /// its relevant gates' cells, and undriven nets tied to 0.
+  void encode_good(const RelevantRegion& region);
   void encode_cell(GateId g, std::span<const SatLit> ins,
                    std::span<const SatLit> outs);
   const std::array<std::vector<Cube>, kMaxCellOutputs>& cover(CellId cell);
@@ -96,15 +95,13 @@ class SatAtpg {
   SatSolver solver_;
   Stats stats_;
 
-  // Per-net/gate state of the current instance, undone at the next
-  // begin() through good_nets_ and cone_gates_.
+  // Per-net state of the current instance, undone at the next begin()
+  // through good_nets_ and cone_nets_.
   std::vector<std::uint32_t> good_var_;  // kNoVar when not encoded
   std::vector<std::uint32_t> cone_var_;  // first of 3; kNoVar off the cone
-  std::vector<std::uint8_t> gate_done_;  // good copy encoded
   std::uint32_t const_var_ = 0;
-  std::vector<NetId> pending_;       // good nets awaiting driver encoding
   std::vector<NetId> good_nets_;     // every good net of the instance
-  std::vector<GateId> cone_gates_;   // the victim's fanout cone
+  std::vector<NetId> cone_nets_;     // every faulty cone net (victim aside)
   std::vector<SatLit> clause_;       // scratch
   std::vector<SatLit> observed_;     // differences at observed nets
   std::vector<SatLit> path_;         // active-path clause scratch

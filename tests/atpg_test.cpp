@@ -100,11 +100,13 @@ TEST(Podem, DetectsSimpleStuckAt) {
   f.nl.mark_primary_output(f.out(g));
   const CombView view = CombView::build(f.nl);
   Podem podem(f.nl, view, {1000});
+  RelevantRegion region(f.nl, view);
   Excitation exc;
   exc.victim = f.out(g);
   exc.faulty_value = false;  // output SA0: need a=b=1
   std::vector<V3> test;
-  ASSERT_EQ(podem.detect(exc, &test), Podem::Outcome::Detected);
+  ASSERT_EQ(podem.search(region.detect(exc), &test),
+            Podem::Outcome::Detected);
   EXPECT_EQ(test[0], V3::One);
   EXPECT_EQ(test[1], V3::One);
 }
@@ -130,6 +132,7 @@ TEST(Podem, ProvesRedundantFaultUndetectable) {
   f.nl.mark_primary_output(f.out(or_g));
   const CombView view = CombView::build(f.nl);
   Podem podem(f.nl, view, {10000});
+  RelevantRegion region(f.nl, view);
   // SA1 on the AND output: flips out only when a=0 -> but then faulty
   // out=1 ... wait good out=a; faulty out = a|1 = 1; at a=0 differs ->
   // detectable. SA0 on the AND output: faulty out = a|0 = a == good for
@@ -137,10 +140,12 @@ TEST(Podem, ProvesRedundantFaultUndetectable) {
   Excitation exc;
   exc.victim = f.out(and_g);
   exc.faulty_value = false;
-  EXPECT_EQ(podem.detect(exc, nullptr), Podem::Outcome::Undetectable);
+  EXPECT_EQ(podem.search(region.detect(exc), nullptr),
+            Podem::Outcome::Undetectable);
   // And its SA1 counterpart is detectable.
   exc.faulty_value = true;
-  EXPECT_EQ(podem.detect(exc, nullptr), Podem::Outcome::Detected);
+  EXPECT_EQ(podem.search(region.detect(exc), nullptr),
+            Podem::Outcome::Detected);
 }
 
 TEST(Podem, JustifyConditions) {
@@ -151,14 +156,16 @@ TEST(Podem, JustifyConditions) {
   f.nl.mark_primary_output(f.out(g));
   const CombView view = CombView::build(f.nl);
   Podem podem(f.nl, view, {1000});
+  RelevantRegion region(f.nl, view);
   const CondLiteral want_zero[] = {{f.out(g), false, 0}};
   std::vector<V3> test;
-  ASSERT_EQ(podem.justify(want_zero, &test), Podem::Outcome::Detected);
+  ASSERT_EQ(podem.search(region.justify(want_zero), &test),
+            Podem::Outcome::Detected);
   EXPECT_EQ(test[0], V3::One);
   EXPECT_EQ(test[1], V3::One);
   // NAND output = 0 AND input a = 0 simultaneously: impossible.
   const CondLiteral impossible[] = {{f.out(g), false, 0}, {a, false, 0}};
-  EXPECT_EQ(podem.justify(impossible, nullptr),
+  EXPECT_EQ(podem.search(region.justify(impossible), nullptr),
             Podem::Outcome::Undetectable);
 }
 
@@ -193,6 +200,7 @@ TEST_P(PodemExhaustive, AgreesWithBruteForce) {
 
   const CombView view = CombView::build(f.nl);
   Podem podem(f.nl, view, {100000});
+  RelevantRegion region(f.nl, view);
   ParallelSimulator sim(f.nl, view);
 
   // Brute force: all 32 assignments in lanes.
@@ -233,7 +241,7 @@ TEST_P(PodemExhaustive, AgreesWithBruteForce) {
       Excitation exc;
       exc.victim = victim;
       exc.faulty_value = sa;
-      const auto verdict = podem.detect(exc, nullptr);
+      const auto verdict = podem.search(region.detect(exc), nullptr);
       ASSERT_NE(verdict, Podem::Outcome::Aborted);
       EXPECT_EQ(verdict == Podem::Outcome::Detected,
                 brute_force_detects(victim, sa))
@@ -266,6 +274,7 @@ TEST(FaultSim, AgreesWithPodemTests) {
 
   const CombView view = CombView::build(f.nl);
   Podem podem(f.nl, view, {20000});
+  RelevantRegion region(f.nl, view);
   FaultSimulator fsim(f.nl, view);
   int confirmed = 0;
   for (std::size_t i = 8; i < nets.size(); i += 2) {
@@ -273,7 +282,10 @@ TEST(FaultSim, AgreesWithPodemTests) {
     exc.victim = nets[i];
     exc.faulty_value = rng.flip();
     std::vector<V3> assign;
-    if (podem.detect(exc, &assign) != Podem::Outcome::Detected) continue;
+    if (podem.search(region.detect(exc), &assign) !=
+        Podem::Outcome::Detected) {
+      continue;
+    }
     TestPattern t;
     for (std::size_t s = 0; s < view.sources.size(); ++s) {
       const V3 v = assign[s];

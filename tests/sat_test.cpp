@@ -198,6 +198,7 @@ void differential(std::string_view block) {
   const FlowState s = flow.run_initial(build_benchmark(block).value()).value();
   const CombView view = CombView::build(s.netlist);
   Podem podem(s.netlist, view, {10'000});
+  RelevantRegion region(s.netlist, view);
   SatAtpg sat(s.netlist, view, {1'000'000});
   FaultSimulator fsim(s.netlist, view);
   Rng rng(99);
@@ -211,8 +212,9 @@ void differential(std::string_view block) {
       }
       std::vector<V3> p0, s0, p1, s1;
       if (!frame0.empty()) {
-        const auto pj = podem.justify(frame0, &p0);
-        const auto sj = sat.justify(frame0, &s0);
+        region.justify(frame0);
+        const auto pj = podem.search(region, &p0);
+        const auto sj = sat.justify(region, &s0);
         ASSERT_NE(sj, Podem::Outcome::Aborted) << block;
         if (pj == Podem::Outcome::Aborted) {
           ++podem_aborted;
@@ -222,9 +224,10 @@ void differential(std::string_view block) {
         }
         if (sj == Podem::Outcome::Undetectable) continue;
       }
-      const auto sd = sat.detect(exc, &s1);
+      region.detect(exc);
+      const auto sd = sat.detect(region, &s1);
       ASSERT_NE(sd, Podem::Outcome::Aborted) << block;
-      const auto pd = podem.detect(exc, &p1);
+      const auto pd = podem.search(region, &p1);
       if (pd == Podem::Outcome::Aborted) {
         ++podem_aborted;
       } else {
