@@ -81,17 +81,18 @@ assert 0 < obs <= events, f"atpg.obs_propagations={obs}, events={events}"
 report = json.load(open(os.path.join(d, "report.json")))
 assert report["schema"] == "dfmres-run-report-v2"
 assert report["resynthesis"]["convergence"], "empty convergence series"
+assert "probe_proof_memo_hits" in report["resynthesis"]["counters"]
 print("observability gate: trace/metrics/report OK")
 EOF
 python3 scripts/summarize_report.py "$OBS_DIR/report.json"
 
-# SAT-stage gate: the two abort-heavy blocks must classify every fault
+# SAT-stage gate: the three abort-heavy blocks must classify every fault
 # within the default conflict budget — A no larger than the per-block
 # counts in EXPERIMENTS.md ("SAT second stage") — and the run report must
-# carry the SAT counters.
+# carry the SAT and proof-memo counters.
 SATSTAGE_DIR="$BUILD_DIR/sat_stage_gate"
 mkdir -p "$SATSTAGE_DIR"
-for spec in sparc_ffu:0 aes_core:0; do
+for spec in sparc_ffu:0 aes_core:0 sparc_fpu:0; do
   block="${spec%%:*}"
   "$BUILD_DIR/tools/dfmres" flow "$block" \
     --report-out "$SATSTAGE_DIR/$block.json" > /dev/null
@@ -102,10 +103,14 @@ max_a = int(sys.argv[2])
 aborted = report["final"]["aborted"]
 assert aborted <= max_a, f"{report['circuit']}: A={aborted} > {max_a}"
 for key in ("podem_handoffs", "sat_calls", "sat_conflicts", "sat_detected",
-            "sat_undetectable", "sat_aborted", "sat_seconds"):
+            "sat_undetectable", "sat_aborted", "sat_seconds",
+            "proof_memo_hits"):
     assert key in report["atpg"], f"report lacks atpg.{key}"
+# Each block proves some region undetectable twice in one run.
+hits = report["atpg"]["proof_memo_hits"]
+assert hits > 0, f"{report['circuit']}: no proof memo hits"
 print(f"sat stage gate: {report['circuit']} A={aborted} (<= {max_a}),"
-      f" {report['atpg']['sat_calls']} SAT calls")
+      f" {report['atpg']['sat_calls']} SAT calls, {hits} proof memo hits")
 EOF
 done
 

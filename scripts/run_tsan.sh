@@ -3,7 +3,8 @@
 # dedicated -DDFMRES_SANITIZE=thread build tree and runs the suites
 # that drive the pool (atpg_test exercises the parallel sweeps in
 # run_atpg, sim_test the shared simulation substrate, campaign_test the
-# multi-job scheduler) plus the pool's own unit tests. Any data race
+# multi-job scheduler, warm_start_test the parallel resynthesis ladder)
+# plus the pool's own unit tests. Any data race
 # aborts with a TSan report and a non-zero exit.
 # Usage: scripts/run_tsan.sh [build-dir]
 set -eu
@@ -15,7 +16,7 @@ cmake -B "$BUILD_DIR" -S . -DDFMRES_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
   --target atpg_test sim_test util_test observability_test campaign_test \
-  overlay_test fault_sim_test lease_test ready_queue_test
+  overlay_test fault_sim_test lease_test ready_queue_test warm_start_test
 
 # TSAN_OPTIONS: fail loudly, first report wins.
 TSAN_OPTIONS="halt_on_error=1 exitcode=66" \
@@ -45,6 +46,11 @@ TSAN_OPTIONS="halt_on_error=1 exitcode=66" "$BUILD_DIR/tests/overlay_test" \
 # Fault-simulation kernel: the pinned engine runs put four parallel
 # sweep workers over shared good frames.
 TSAN_OPTIONS="halt_on_error=1 exitcode=66" "$BUILD_DIR/tests/fault_sim_test"
+# Parallel resynthesis ladder: each lane probes on its own simulator
+# arena, and with it its own phase-2 proof memo; a memo shared across
+# lanes would race here.
+TSAN_OPTIONS="halt_on_error=1 exitcode=66" "$BUILD_DIR/tests/warm_start_test" \
+  --gtest_filter='WarmStart.SerialVsParallelLadderIdentity'
 # Lease protocol: racing claim threads and the HeartbeatKeeper refresh
 # thread against the claim-scoped cancel token. The fork-based resume
 # case is excluded (fork + TSan runtime do not mix).

@@ -289,6 +289,7 @@ def summarize_run(report, indent=""):
             f"{atpg.get('sat_undetectable', 0)} U/"
             f"{atpg.get('sat_aborted', 0)} A, "
             f"{atpg.get('sat_conflicts', 0)} conflicts), "
+            f"{atpg.get('proof_memo_hits', 0)} proof memo hits, "
             f"phases {atpg['phase0_seconds']:.2f}/"
             f"{atpg['phase1_seconds']:.2f}/{atpg['phase2_seconds']:.2f}/"
             f"{atpg['phase3_seconds']:.2f}s"
@@ -305,6 +306,15 @@ def summarize_run(report, indent=""):
             f"  {c['candidates_built']} built, {c['u_in_probes']} u_in probes,"
             f" {c['full_probes']} full probes"
         )
+        if "probe_phase2_seconds" in c:
+            print_line(
+                f"   atpg (probes): phase 2 {c['probe_phase2_seconds']:.2f}s,"
+                f" {c['probe_podem_handoffs']} handoffs,"
+                f" sat {c['probe_sat_detected']} D/"
+                f"{c['probe_sat_undetectable']} U/{c['probe_sat_aborted']} A"
+                f" ({c['probe_sat_seconds']:.2f}s),"
+                f" {c['probe_proof_memo_hits']} proof memo hits"
+            )
         print_line(
             f"   resyn phases: build {p['build']:.2f}s, u_in {p['u_in']:.2f}s,"
             f" probe {p['probe']:.2f}s, signoff {p['signoff']:.2f}s"

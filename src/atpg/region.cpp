@@ -192,11 +192,10 @@ bool ProofMemo::contains(const RegionSignature& s) const {
 
 void ProofMemo::insert(const RegionSignature& s) {
   assert(!(s == RegionSignature{}));
-  if (size_ + 1 > kMaxEntries) clear();
+  if (contains(s)) return;
+  if (size_ == kMaxEntries) clear();
   if (2 * (size_ + 1) > slots_.size()) grow();
-  RegionSignature& slot = slots_[probe(s)];
-  if (slot == s) return;
-  slot = s;
+  slots_[probe(s)] = s;
   ++size_;
 }
 

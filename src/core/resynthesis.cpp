@@ -460,6 +460,13 @@ class Procedure {
     report_.probe_full_loads += c.full_loads;
     report_.probe_overlay_loads += c.overlay_loads;
     report_.probe_load_seconds += c.load_seconds;
+    report_.probe_podem_handoffs += c.podem_handoffs;
+    report_.probe_sat_detected += c.sat_detected;
+    report_.probe_sat_undetectable += c.sat_undetectable;
+    report_.probe_sat_aborted += c.sat_aborted;
+    report_.probe_sat_seconds += c.sat_seconds;
+    report_.probe_phase2_seconds += c.phase2_seconds;
+    report_.probe_proof_memo_hits += c.proof_memo_hits;
   }
 
   /// Evaluates a candidate's metrics, memoized across the q sweep.
@@ -1041,6 +1048,17 @@ class Procedure {
 };
 
 }  // namespace
+
+std::string ResynthesisReport::probe_atpg_summary() const {
+  return strfmt(
+      "atpg (probes): phase 2 %.3fs, %llu handoffs, sat %llu D/%llu U/%llu A "
+      "(%.3fs), %llu proof memo hits",
+      probe_phase2_seconds, static_cast<unsigned long long>(probe_podem_handoffs),
+      static_cast<unsigned long long>(probe_sat_detected),
+      static_cast<unsigned long long>(probe_sat_undetectable),
+      static_cast<unsigned long long>(probe_sat_aborted), probe_sat_seconds,
+      static_cast<unsigned long long>(probe_proof_memo_hits));
+}
 
 Expected<ResynthesisResult> resynthesize(DesignFlow& flow,
                                          const FlowState& original,

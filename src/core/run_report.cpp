@@ -130,6 +130,13 @@ std::string RunReport::to_json() const {
     w.field("probe_full_loads", r.probe_full_loads);
     w.field("probe_overlay_loads", r.probe_overlay_loads);
     w.field("probe_load_seconds", r.probe_load_seconds);
+    w.field("probe_podem_handoffs", r.probe_podem_handoffs);
+    w.field("probe_sat_detected", r.probe_sat_detected);
+    w.field("probe_sat_undetectable", r.probe_sat_undetectable);
+    w.field("probe_sat_aborted", r.probe_sat_aborted);
+    w.field("probe_sat_seconds", r.probe_sat_seconds);
+    w.field("probe_phase2_seconds", r.probe_phase2_seconds);
+    w.field("probe_proof_memo_hits", r.probe_proof_memo_hits);
     w.end_object();
     w.key("phase_seconds");
     w.begin_object();
@@ -195,6 +202,13 @@ void publish_metrics(const ResynthesisReport& report,
   registry.add("resyn.probe_full_loads", report.probe_full_loads);
   registry.add("resyn.probe_overlay_loads", report.probe_overlay_loads);
   registry.observe("resyn.probe_load_seconds", report.probe_load_seconds);
+  registry.add("resyn.probe_podem_handoffs", report.probe_podem_handoffs);
+  registry.add("resyn.probe_sat_detected", report.probe_sat_detected);
+  registry.add("resyn.probe_sat_undetectable", report.probe_sat_undetectable);
+  registry.add("resyn.probe_sat_aborted", report.probe_sat_aborted);
+  registry.observe("resyn.probe_sat_seconds", report.probe_sat_seconds);
+  registry.observe("resyn.probe_phase2_seconds", report.probe_phase2_seconds);
+  registry.add("resyn.probe_proof_memo_hits", report.probe_proof_memo_hits);
   registry.observe("resyn.build_seconds", report.build_seconds);
   registry.observe("resyn.u_in_seconds", report.u_in_seconds);
   registry.observe("resyn.probe_seconds", report.probe_seconds);

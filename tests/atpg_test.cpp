@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <unordered_map>
@@ -9,6 +10,7 @@
 #include "src/atpg/excitation.hpp"
 #include "src/atpg/fault_sim.hpp"
 #include "src/atpg/podem.hpp"
+#include "src/atpg/region.hpp"
 #include "src/circuits/benchmarks.hpp"
 #include "src/dfm/checker.hpp"
 #include "src/faults/fault_key_table.hpp"
@@ -965,6 +967,263 @@ TEST(FaultKeyTable, ClearDropsEntriesAndKeepsCapacity) {
   table.insert_or_assign(keys.front(), FaultStatus::Detected);
   EXPECT_EQ(table.size(), 1u);
   EXPECT_EQ(*table.find(keys.front()), FaultStatus::Detected);
+}
+
+// ---- RelevantRegion signatures and the proof memo ----
+
+/// A small block for the signature tests. Built the same way every
+/// time, so the ids match across variants; each test edits a copy.
+///   n0 = INV(a); n1 = NAND2(a, b); {yc, ys} = HAX1(n1, c);
+///   y = NOR2(ys, n0) -> PO.
+/// The detect call targets n1 stuck-at-0 with the frame-1 literal
+/// c = 1 (and a frame-0 literal detection must ignore). Its cone is
+/// {HAX1, NOR2}; n0 is a driven side input, yc a dangling cone net.
+struct SigBlock {
+  Fixture f;
+  NetId a, b, c, n0, n1, yc, ys, y;
+  GateId inv, nand, ha, nor;
+  Excitation exc;
+
+  explicit SigBlock(bool swap_ha_pins = false) {
+    a = f.nl.add_primary_input();
+    b = f.nl.add_primary_input();
+    c = f.nl.add_primary_input();
+    inv = f.add("INVX1", {a});
+    n0 = f.out(inv);
+    nand = f.add("NAND2X1", {a, b});
+    n1 = f.out(nand);
+    yc = f.nl.add_net();
+    ys = f.nl.add_net();
+    const NetId ha_in[] = {n1, c};
+    const NetId ha_out_a[] = {yc, ys};
+    const NetId ha_out_b[] = {ys, yc};
+    ha = f.nl.add_gate_driving(lib()->require("HAX1"), ha_in,
+                               swap_ha_pins ? ha_out_b : ha_out_a);
+    nor = f.add("NOR2X1", {ys, n0});
+    y = f.out(nor);
+    f.nl.mark_primary_output(y);
+    exc.victim = n1;
+    exc.faulty_value = false;
+    exc.lits = {{c, true, 1}, {b, true, 0}};
+  }
+
+  [[nodiscard]] RegionSignature detect() const {
+    const CombView view = CombView::build(f.nl);
+    RelevantRegion region(f.nl, view);
+    return region.detect(exc).signature();
+  }
+};
+
+TEST(RelevantRegion, BuildsConeAndBackwardClosure) {
+  SigBlock blk;
+  const CombView view = CombView::build(blk.f.nl);
+  RelevantRegion region(blk.f.nl, view);
+  region.detect(blk.exc);
+  const std::vector<GateId> cone(region.cone_gates().begin(),
+                                 region.cone_gates().end());
+  EXPECT_EQ(cone, (std::vector<GateId>{blk.ha, blk.nor}));
+  for (const NetId n : {blk.n1, blk.yc, blk.ys, blk.y}) {
+    EXPECT_TRUE(region.in_cone(n)) << n.value();
+  }
+  EXPECT_FALSE(region.in_cone(blk.n0));
+  // Detection reads the frame-1 literal only.
+  ASSERT_EQ(region.lits().size(), 1u);
+  EXPECT_EQ(region.lits()[0].net, blk.c);
+  std::vector<NetId> nets(region.nets().begin(), region.nets().end());
+  std::sort(nets.begin(), nets.end());
+  std::vector<NetId> want{blk.a, blk.b,  blk.c,  blk.n0,
+                          blk.n1, blk.yc, blk.ys, blk.y};
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(nets, want);
+  for (const GateId g : {blk.inv, blk.nand, blk.ha, blk.nor}) {
+    EXPECT_TRUE(region.relevant_gate(g)) << g.value();
+  }
+  EXPECT_EQ(region.gates().size(), 4u);
+  EXPECT_TRUE(region.is_source(blk.a));
+  EXPECT_FALSE(region.is_source(blk.n0));
+}
+
+TEST(RelevantRegion, SignatureChangesUnderEachSingleMutation) {
+  const RegionSignature base = SigBlock().detect();
+  EXPECT_EQ(SigBlock().detect(), base);  // deterministic
+  const CellId dff = lib()->require("DFFPOSX1");
+  struct Mutation {
+    const char* name;
+    std::function<RegionSignature()> signature;
+  };
+  const std::vector<Mutation> mutations = {
+      {"cell swap on a cone gate",
+       [] {
+         SigBlock blk;
+         blk.f.nl.retype_gate(blk.nor, lib()->require("NAND2X1"));
+         return blk.detect();
+       }},
+      {"cell swap on a side-input driver",
+       [] {
+         SigBlock blk;
+         blk.f.nl.retype_gate(blk.inv, lib()->require("BUFX2"));
+         return blk.detect();
+       }},
+      {"fanin rewire",
+       [] {
+         SigBlock blk;
+         blk.f.nl.rewire_fanin(blk.nor, 1, blk.c);
+         return blk.detect();
+       }},
+      {"driver pin",
+       [] { return SigBlock(/*swap_ha_pins=*/true).detect(); }},
+      {"PO flag on a cone net",
+       [] {
+         SigBlock blk;
+         blk.f.nl.mark_primary_output(blk.yc);
+         return blk.detect();
+       }},
+      {"flop sink on a cone net",
+       [&] {
+         SigBlock blk;
+         blk.f.nl.add_gate(dff, std::vector<NetId>{blk.yc});
+         return blk.detect();
+       }},
+      {"combinational sink on a cone net",
+       [] {
+         SigBlock blk;
+         blk.f.add("INVX1", {blk.yc});
+         return blk.detect();
+       }},
+      {"driven net turned into a source",
+       [&] {
+         SigBlock blk;
+         blk.f.nl.retype_gate(blk.inv, dff);
+         return blk.detect();
+       }},
+      {"literal value",
+       [] {
+         SigBlock blk;
+         blk.exc.lits[0].value = false;
+         return blk.detect();
+       }},
+      {"faulty value",
+       [] {
+         SigBlock blk;
+         blk.exc.faulty_value = true;
+         return blk.detect();
+       }},
+      {"justify instead of detect",
+       [] {
+         SigBlock blk;
+         const CombView view = CombView::build(blk.f.nl);
+         RelevantRegion region(blk.f.nl, view);
+         const CondLiteral lits[] = {{blk.n1, true, 1}, {blk.c, true, 1}};
+         return region.justify(lits).signature();
+       }},
+  };
+  for (const Mutation& m : mutations) EXPECT_NE(m.signature(), base) << m.name;
+}
+
+TEST(RelevantRegion, SignatureIgnoresEditsOutsideTheRegion) {
+  const RegionSignature base = SigBlock().detect();
+  SigBlock blk;
+  // A new output cone hanging off a relevant source, and an unrelated
+  // gate: neither is read by the call.
+  const NetId e = blk.f.nl.add_primary_input();
+  blk.f.nl.mark_primary_output(blk.f.out(blk.f.add("AND2X2", {blk.a, e})));
+  blk.f.nl.mark_primary_output(blk.f.out(blk.f.add("INVX1", {e})));
+  // A frame-0 literal is a separate justify call, not part of detect.
+  blk.exc.lits[1].value = false;
+  EXPECT_EQ(blk.detect(), base);
+}
+
+TEST(RelevantRegion, JustifySignatureIgnoresLiteralFrameAndOrder) {
+  SigBlock blk;
+  const CombView view = CombView::build(blk.f.nl);
+  RelevantRegion region(blk.f.nl, view);
+  const CondLiteral one[] = {{blk.n1, true, 0}, {blk.ys, false, 0}};
+  const CondLiteral two[] = {{blk.ys, false, 1}, {blk.n1, true, 1}};
+  const RegionSignature first = region.justify(one).signature();
+  EXPECT_EQ(region.justify(two).signature(), first);
+  for (const CondLiteral& lit : region.lits()) EXPECT_EQ(lit.frame, 1);
+}
+
+TEST(ProofMemo, StoresSignaturesAndClearsAtTheCap) {
+  ProofMemo memo;
+  const auto sig = [](std::uint64_t i) {
+    return RegionSignature{i * 0x9e3779b97f4a7c15ull + 1, i};
+  };
+  EXPECT_FALSE(memo.contains(sig(1)));
+  for (std::uint64_t i = 0; i < ProofMemo::kMaxEntries; ++i) {
+    memo.insert(sig(i));
+  }
+  memo.insert(sig(7));  // present: no growth
+  EXPECT_EQ(memo.size(), ProofMemo::kMaxEntries);
+  for (std::uint64_t i = 0; i < ProofMemo::kMaxEntries; i += 997) {
+    EXPECT_TRUE(memo.contains(sig(i))) << i;
+  }
+  EXPECT_FALSE(memo.contains(sig(ProofMemo::kMaxEntries)));
+  // The insert past the cap starts over.
+  memo.insert(sig(ProofMemo::kMaxEntries));
+  EXPECT_EQ(memo.size(), 1u);
+  EXPECT_TRUE(memo.contains(sig(ProofMemo::kMaxEntries)));
+  EXPECT_FALSE(memo.contains(sig(0)));
+}
+
+/// Four copies of the absorbed term out = a | (a & b): every internal
+/// fault of an AND gate that only ever pulls its output low is masked
+/// by the OR, so phase 2 proves it undetectable.
+struct Absorbed {
+  Fixture f;
+  UdfmMap udfm{*lib()};
+  FaultUniverse universe;
+
+  Absorbed() {
+    for (int i = 0; i < 4; ++i) {
+      const NetId a = f.nl.add_primary_input();
+      const NetId b = f.nl.add_primary_input();
+      const GateId and_g = f.add("AND2X2", {a, b});
+      f.nl.mark_primary_output(f.out(f.add("OR2X2", {a, f.out(and_g)})));
+    }
+    universe = extract_internal_faults(f.nl, udfm);
+  }
+};
+
+TEST(ProofMemo, ArenaMemoAnswersRepeatsWithIdenticalResults) {
+  Absorbed blk;
+  AtpgOptions options;
+  options.random_batches = 1;
+  options.num_threads = 1;
+  const AtpgResult cold = run_atpg(blk.f.nl, blk.universe, blk.udfm, options);
+  ASSERT_GT(cold.num_undetectable, 0u);
+  ASSERT_EQ(cold.num_aborted, 0u);
+
+  FaultSimArena arena;
+  options.arena = &arena;
+  const AtpgResult first = run_atpg(blk.f.nl, blk.universe, blk.udfm, options);
+  EXPECT_GT(arena.proof_memo().size(), 0u);
+  const AtpgResult again = run_atpg(blk.f.nl, blk.universe, blk.udfm, options);
+  EXPECT_GT(again.counters.proof_memo_hits,
+            first.counters.proof_memo_hits);
+  for (const AtpgResult* r : {&first, &again}) {
+    EXPECT_EQ(r->status, cold.status);
+    EXPECT_EQ(r->tests, cold.tests);
+  }
+}
+
+TEST(ProofMemo, ExpiredCancelStoresNothing) {
+  Absorbed blk;
+  FaultSimArena arena;
+  CancelToken cancel;
+  cancel.cancel();
+  AtpgOptions options;
+  options.random_batches = 0;  // every fault reaches phase 2
+  options.arena = &arena;
+  options.cancel = &cancel;
+  const AtpgResult r = run_atpg(blk.f.nl, blk.universe, blk.udfm, options);
+  EXPECT_TRUE(r.cancelled);
+  EXPECT_EQ(arena.proof_memo().size(), 0u);
+  EXPECT_EQ(r.counters.proof_memo_hits, 0u);
+  // The same run, not cancelled, stores its proofs.
+  options.cancel = nullptr;
+  (void)run_atpg(blk.f.nl, blk.universe, blk.udfm, options);
+  EXPECT_GT(arena.proof_memo().size(), 0u);
 }
 
 }  // namespace

@@ -445,8 +445,8 @@ TEST(EnginePinned, ColdRunOutputMatchesRecordedHash) {
     const char* block;
     std::uint64_t hash;
   } kPinned[] = {
-      {"sparc_tlu", 0xc40fd6145539fa4full},
-      {"tv80", 0xaf3ee386d590ec72ull},
+      {"sparc_tlu", 0x981086cb92deeb30ull},
+      {"tv80", 0xa81f680c99341758ull},
   };
   for (const auto& pin : kPinned) {
     for_each_cold_run(pin.block, [&](const AtpgResult& r, int threads) {

@@ -295,6 +295,7 @@ TEST(Metrics, AbsorbAtpgCounters) {
   counters.threads_used = 4;
   counters.memo_hits = 40;
   counters.verdict_stores = 3;
+  counters.proof_memo_hits = 11;
 
   MetricsRegistry registry;
   registry.absorb(counters);
@@ -303,6 +304,7 @@ TEST(Metrics, AbsorbAtpgCounters) {
   EXPECT_EQ(registry.counter("atpg.detect_mask_calls"), 18002u);
   EXPECT_EQ(registry.counter("atpg.memo_hits"), 80u);
   EXPECT_EQ(registry.counter("atpg.verdict_stores"), 6u);
+  EXPECT_EQ(registry.counter("atpg.proof_memo_hits"), 22u);
   EXPECT_EQ(registry.histogram_stats("atpg.phase2_seconds").count(), 2u);
   EXPECT_DOUBLE_EQ(registry.histogram_stats("atpg.phase2_seconds").sum(), 3.0);
   EXPECT_DOUBLE_EQ(registry.gauge("atpg.threads_used"), 4.0);
@@ -350,6 +352,31 @@ TEST(RunReportTest, JsonRoundTripsThroughTheSyntaxChecker) {
   EXPECT_NE(json.find("\"convergence\""), std::string::npos);
   EXPECT_NE(json.find("\\\"quoted\\\""), std::string::npos);
   EXPECT_NE(json.find("\"smax_pct\":1.1"), std::string::npos);
+}
+
+TEST(RunReportTest, ProbePhase2CountersReachReportMetricsAndCliLine) {
+  ResynthesisReport resyn;
+  resyn.probe_podem_handoffs = 12;
+  resyn.probe_sat_detected = 2;
+  resyn.probe_sat_undetectable = 10;
+  resyn.probe_sat_seconds = 0.25;
+  resyn.probe_phase2_seconds = 0.5;
+  resyn.probe_proof_memo_hits = 7;
+  RunReport report("resyn", "unit_block");
+  report.set_resynthesis(resyn);
+  const std::string json = report.to_json();
+  EXPECT_TRUE(is_valid_json(json));
+  EXPECT_NE(json.find("\"probe_podem_handoffs\":12"), std::string::npos);
+  EXPECT_NE(json.find("\"probe_proof_memo_hits\":7"), std::string::npos);
+  MetricsRegistry registry;
+  publish_metrics(resyn, registry);
+  EXPECT_EQ(registry.counter("resyn.probe_sat_undetectable"), 10u);
+  EXPECT_EQ(registry.counter("resyn.probe_proof_memo_hits"), 7u);
+  EXPECT_DOUBLE_EQ(registry.histogram_stats("resyn.probe_phase2_seconds").sum(),
+                   0.5);
+  EXPECT_EQ(resyn.probe_atpg_summary(),
+            "atpg (probes): phase 2 0.500s, 12 handoffs, sat 2 D/10 U/0 A "
+            "(0.250s), 7 proof memo hits");
 }
 
 TEST(RunReportTest, PublishMetricsEmitsConvergenceSeries) {

@@ -239,6 +239,19 @@ TEST(OverlayHeavy, Tv80ResynthesisBitIdentical) {
   EXPECT_EQ(without.report.probe_overlay_loads, 0u);
   EXPECT_GT(without.report.probe_frame_bytes, 0u);
   EXPECT_LT(with.report.probe_frame_bytes, without.report.probe_frame_bytes);
+
+  // The probes' phase-2 work is reported: every handoff ends in one SAT
+  // verdict. (Memo hits depend on which arena saw which region first,
+  // so the two runs need not agree on them.)
+  for (const Run* r : {&with, &without}) {
+    EXPECT_GT(r->report.probe_phase2_seconds, 0.0);
+    EXPECT_GT(r->report.probe_proof_memo_hits, 0u);
+    EXPECT_GT(r->report.probe_podem_handoffs, 0u);
+    EXPECT_EQ(r->report.probe_podem_handoffs,
+              r->report.probe_sat_detected +
+                  r->report.probe_sat_undetectable +
+                  r->report.probe_sat_aborted);
+  }
 }
 
 }  // namespace

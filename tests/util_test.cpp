@@ -189,16 +189,21 @@ TEST(Stats, AtpgCountersMergeAndFormat) {
   b.memo_hits = 5;
   b.verdict_stores = 9;
   b.obs_propagations = 4;
+  a.proof_memo_hits = 1;
+  b.proof_memo_hits = 6;
   a.merge(b);
   EXPECT_EQ(a.patterns_simulated, 13u);
   EXPECT_EQ(a.podem_backtracks, 7u);
   EXPECT_EQ(a.memo_hits, 7u);
   EXPECT_EQ(a.verdict_stores, 9u);
   EXPECT_EQ(a.obs_propagations, 4u);
+  EXPECT_EQ(a.proof_memo_hits, 7u);
   EXPECT_DOUBLE_EQ(a.phase1_seconds, 0.75);
   EXPECT_EQ(a.threads_used, 4);
   EXPECT_NE(a.summary().find("13 patterns"), std::string::npos);
   EXPECT_NE(a.json().find("\"podem_backtracks\": 7"), std::string::npos);
+  EXPECT_NE(a.summary().find("7 proof memo hits"), std::string::npos);
+  EXPECT_NE(a.json().find("\"proof_memo_hits\": 7"), std::string::npos);
   // Metrics-registry only: the CLI line and the run-report schema stay
   // fixed.
   EXPECT_EQ(a.json().find("obs_propagations"), std::string::npos);

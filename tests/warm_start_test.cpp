@@ -253,6 +253,38 @@ TEST(WarmStart, ArenaReuseAcrossDesignsIsTransparent) {
   EXPECT_EQ(shared.size(), 1u);  // single-threaded: master slot only
 }
 
+TEST(WarmStart, SharedProofMemoIsTransparent) {
+  // The same differential for phase 2's proof memo, which lives in the
+  // arena and outlives runs: re-analyses of the original, a one-gate
+  // edit and the original again on one shared arena answer repeated
+  // undetectability proofs from the memo, and must return exactly what
+  // fresh arenas (a memo per run) return.
+  // sparc_tlu: block_a's undetectable faults are all unexcitable, so
+  // they never reach phase 2.
+  DesignFlow flow(osu018_library(), flow_options(true, 1));
+  const FlowState s =
+      flow.run_initial(build_benchmark("sparc_tlu").value()).value();
+  const Netlist edited = remap_one_gate(s.netlist);
+  flow.clear_cache();  // no cached verdicts: every fault is re-classified
+
+  FaultSimArena shared;
+  std::uint64_t shared_hits = 0, fresh_hits = 0;
+  for (const Netlist* nl : {&s.netlist, &edited, &s.netlist}) {
+    ProbeSession on_shared = flow.probe(&shared);
+    ProbeSession on_fresh = flow.probe();
+    const auto x = on_shared.reanalyze(*nl, s.placement, true);
+    const auto y = on_fresh.reanalyze(*nl, s.placement, true);
+    ASSERT_TRUE(x.has_value());
+    ASSERT_TRUE(y.has_value());
+    ASSERT_EQ(x->atpg.num_aborted, 0u);
+    EXPECT_EQ(x->atpg.status, y->atpg.status);
+    EXPECT_EQ(x->atpg.tests, y->atpg.tests);
+    shared_hits += on_shared.counters().proof_memo_hits;
+    fresh_hits += on_fresh.counters().proof_memo_hits;
+  }
+  EXPECT_GT(shared_hits, fresh_hits);
+}
+
 TEST(WarmStart, ProbeOverlayIsADeltaOverTheBase) {
   DesignFlow flow(osu018_library(), flow_options(true, 1));
   const FlowState s = flow.run_initial(block_a()).value();

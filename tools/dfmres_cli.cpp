@@ -603,6 +603,7 @@ int cmd_resyn(int argc, char** argv) {
   }
   print_state("resyn", result->state, original ? &*original : nullptr);
   std::printf("%s\n", result->state.atpg.counters.summary().c_str());
+  std::printf("%s\n", result->report.probe_atpg_summary().c_str());
   std::printf("largest accepted q: %d%%  runtime: %.1fs\n",
               result->report.q_used, result->report.runtime_seconds);
   if (result->report.deadline_expired) {
