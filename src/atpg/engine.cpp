@@ -364,8 +364,9 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
   ProofMemo& proofs = arena.proof_memo();
   // One justify/detect call over the region just built. A memo hit is
   // final: a U outcome draws no rng and leaves no engine state behind,
-  // so skipping the search changes no status and no test. Only complete
-  // U proofs are stored; an aborted or cancelled call proves nothing.
+  // so skipping the search changes no status and no test. Only U
+  // outcomes are stored, and each is a complete proof: a search cut
+  // short by the budget or the cancel token ends Aborted.
   const auto solve = [&](std::vector<V3>* test) {
     if (proofs.contains(region.signature())) {
       ++result.counters.proof_memo_hits;
@@ -379,9 +380,7 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
       r = region.is_detect() ? sat->detect(region, test)
                              : sat->justify(region, test);
     }
-    if (r == Podem::Outcome::Undetectable && !cancel_expired(options.cancel)) {
-      proofs.insert(region.signature());
-    }
+    if (r == Podem::Outcome::Undetectable) proofs.insert(region.signature());
     return r;
   };
   // Process remaining targets; each generated test also drops others.

@@ -2,7 +2,6 @@
 
 #include <optional>
 #include <utility>
-#include <span>
 #include <vector>
 
 #include "src/atpg/excitation.hpp"
@@ -49,7 +48,7 @@ class Podem {
 
   [[nodiscard]] const CombView& view() const { return view_; }
 
-  /// Total backtracks across every detect/justify call on this instance
+  /// Total backtracks across every search on this instance
   /// (instrumentation for AtpgCounters).
   [[nodiscard]] std::uint64_t total_backtracks() const {
     return total_backtracks_;

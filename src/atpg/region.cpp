@@ -49,7 +49,7 @@ class Record {
 }  // namespace
 
 RelevantRegion::RelevantRegion(const Netlist& nl, const CombView& view)
-    : nl_(nl), view_(view) {
+    : nl_(nl) {
   topo_pos_.assign(nl.gate_capacity(), 0);
   for (std::uint32_t i = 0; i < view.order.size(); ++i) {
     topo_pos_[view.order[i].value()] = i;

@@ -87,7 +87,6 @@ class RelevantRegion {
   [[nodiscard]] const RegionSignature& signature() const { return sig_; }
 
   [[nodiscard]] const Netlist& netlist() const { return nl_; }
-  [[nodiscard]] const CombView& view() const { return view_; }
 
  private:
   void begin();
@@ -96,7 +95,6 @@ class RelevantRegion {
   void close();
 
   const Netlist& nl_;
-  const CombView& view_;
   std::vector<std::uint32_t> topo_pos_;  // gate slot -> topo position
   std::vector<std::uint8_t> observe_;    // net slot -> observation point
   bool detect_ = false;

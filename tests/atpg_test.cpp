@@ -1064,10 +1064,17 @@ TEST(RelevantRegion, SignatureChangesUnderEachSingleMutation) {
          blk.f.nl.retype_gate(blk.inv, lib()->require("BUFX2"));
          return blk.detect();
        }},
-      {"fanin rewire",
+      {"fanin rewire within the region",
        [] {
          SigBlock blk;
-         blk.f.nl.rewire_fanin(blk.nor, 1, blk.c);
+         blk.f.nl.rewire_fanin(blk.ha, 1, blk.b);
+         return blk.detect();
+       }},
+      {"fanin order",
+       [] {
+         SigBlock blk;
+         blk.f.nl.rewire_fanin(blk.nor, 0, blk.n0);
+         blk.f.nl.rewire_fanin(blk.nor, 1, blk.ys);
          return blk.detect();
        }},
       {"driver pin",
