@@ -30,7 +30,8 @@ ASAN_OPTIONS="$SAN_ENV" UBSAN_OPTIONS="$SAN_ENV" \
   "$BUILD_DIR/tests/warm_start_test"
 ASAN_OPTIONS="$SAN_ENV" UBSAN_OPTIONS="$SAN_ENV" \
   "$BUILD_DIR/tests/core_test"
-# Includes the FaultKeyTable.* differential and growth tests.
+# Includes the FaultKeyTable.* differential and growth tests and the
+# RelevantRegion.* / ProofMemo.* phase-2 region and memo tests.
 ASAN_OPTIONS="$SAN_ENV" UBSAN_OPTIONS="$SAN_ENV" \
   "$BUILD_DIR/tests/atpg_test"
 # The tv80 differential repeats the sparc_tlu one on a 3x larger block.

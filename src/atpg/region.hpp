@@ -126,11 +126,11 @@ class ProofMemo {
 
   [[nodiscard]] bool contains(const RegionSignature& s) const;
   void insert(const RegionSignature& s);
-  void clear();
   [[nodiscard]] std::size_t size() const { return size_; }
 
  private:
   [[nodiscard]] std::size_t probe(const RegionSignature& s) const;
+  void clear();
   void grow();
 
   std::vector<RegionSignature> slots_;  // {0, 0} = empty
