@@ -10,8 +10,10 @@
 # (sat_test: clause arena garbage collection and watch-list reuse across
 # resets), and the copy-on-write probe overlays
 # (overlay_test — baseline frame aliasing and the per-batch dirty-slot
-# replay are exactly the pointer gymnastics ASan is for), and the flat
-# DFM extractor (dfm_test). Any report aborts with a non-zero exit.
+# replay are exactly the pointer gymnastics ASan is for), the flat
+# DFM extractor (dfm_test), and the switch-level simulator's reused CSR
+# and reach buffers over both libraries' UDFM extraction
+# (switchlevel_test). Any report aborts with a non-zero exit.
 # Usage: scripts/run_asan.sh [build-dir]
 set -eu
 
@@ -22,7 +24,7 @@ cmake -B "$BUILD_DIR" -S . -DDFMRES_SANITIZE=address \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
   --target warm_start_test core_test atpg_test overlay_test fault_sim_test \
-  lease_test sat_test dfm_test
+  lease_test sat_test dfm_test switchlevel_test
 
 # Fail loudly on the first report from either sanitizer.
 SAN_ENV="halt_on_error=1 exitcode=66"
@@ -30,6 +32,8 @@ ASAN_OPTIONS="$SAN_ENV" UBSAN_OPTIONS="$SAN_ENV" \
   "$BUILD_DIR/tests/warm_start_test"
 ASAN_OPTIONS="$SAN_ENV" UBSAN_OPTIONS="$SAN_ENV" \
   "$BUILD_DIR/tests/core_test"
+ASAN_OPTIONS="$SAN_ENV" UBSAN_OPTIONS="$SAN_ENV" \
+  "$BUILD_DIR/tests/switchlevel_test"
 # Includes the FaultKeyTable.* differential and growth tests and the
 # RelevantRegion.* / ProofMemo.* phase-2 region and memo tests.
 ASAN_OPTIONS="$SAN_ENV" UBSAN_OPTIONS="$SAN_ENV" \

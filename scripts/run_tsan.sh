@@ -3,9 +3,9 @@
 # dedicated -DDFMRES_SANITIZE=thread build tree and runs the suites
 # that drive the pool (atpg_test exercises the parallel sweeps in
 # run_atpg, sim_test the shared simulation substrate, campaign_test the
-# multi-job scheduler, warm_start_test the parallel resynthesis ladder)
-# plus the pool's own unit tests. Any data race
-# aborts with a TSan report and a non-zero exit.
+# multi-job scheduler, warm_start_test the parallel resynthesis ladder,
+# core_test the shared UDFM registry) plus the pool's own unit tests.
+# Any data race aborts with a TSan report and a non-zero exit.
 # Usage: scripts/run_tsan.sh [build-dir]
 set -eu
 
@@ -16,7 +16,8 @@ cmake -B "$BUILD_DIR" -S . -DDFMRES_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
   --target atpg_test sim_test util_test observability_test campaign_test \
-  overlay_test fault_sim_test lease_test ready_queue_test warm_start_test
+  overlay_test fault_sim_test lease_test ready_queue_test warm_start_test \
+  core_test
 
 # TSAN_OPTIONS: fail loudly, first report wins.
 TSAN_OPTIONS="halt_on_error=1 exitcode=66" \
@@ -51,6 +52,10 @@ TSAN_OPTIONS="halt_on_error=1 exitcode=66" "$BUILD_DIR/tests/fault_sim_test"
 # lanes would race here.
 TSAN_OPTIONS="halt_on_error=1 exitcode=66" "$BUILD_DIR/tests/warm_start_test" \
   --gtest_filter='WarmStart.SerialVsParallelLadderIdentity'
+# Process-wide UDFM registry: eight threads race the first shared_udfm
+# call on one library; the map must be built once and published safely.
+TSAN_OPTIONS="halt_on_error=1 exitcode=66" "$BUILD_DIR/tests/core_test" \
+  --gtest_filter='SharedUdfm.*'
 # Lease protocol: racing claim threads and the HeartbeatKeeper refresh
 # thread against the claim-scoped cancel token. The fork-based resume
 # case is excluded (fork + TSan runtime do not mix).

@@ -11,7 +11,9 @@ namespace dfmres {
 
 DesignFlow::DesignFlow(std::shared_ptr<const Library> target,
                        FlowOptions options)
-    : target_(std::move(target)), options_(options), udfm_(*target_) {}
+    : target_(std::move(target)),
+      options_(options),
+      udfm_(shared_udfm(target_)) {}
 
 Expected<FlowState> DesignFlow::run_initial(const Netlist& rtl) {
   // Synthesize(): technology mapping with arithmetic/sequential macros
@@ -111,7 +113,7 @@ FlowState DesignFlow::analyze_committed(
   TimingPower timing = analyze_timing_power(netlist, routing, options_.sta);
   stage.emplace("flow.extract_faults", "flow");
   FaultUniverse universe =
-      extract_dfm_faults(netlist, placement, routing, udfm_);
+      extract_dfm_faults(netlist, placement, routing, *udfm_);
   stage.emplace("flow.atpg", "flow");
   AtpgOptions atpg_options = options_.atpg;
   atpg_options.generate_tests = generate_tests;
@@ -124,7 +126,7 @@ FlowState DesignFlow::analyze_committed(
       atpg_options.cone_untouched = &untouched;
     }
   }
-  AtpgResult atpg = run_atpg(netlist, universe, udfm_, atpg_options, &cache_);
+  AtpgResult atpg = run_atpg(netlist, universe, *udfm_, atpg_options, &cache_);
   atpg_totals_.merge(atpg.counters);
   ProgressCounters& progress = ProgressCounters::global();
   progress.analyses.fetch_add(1, std::memory_order_relaxed);
@@ -173,7 +175,7 @@ Expected<FlowState> DesignFlow::probe_reanalyze_impl(
   TimingPower timing = analyze_timing_power(netlist, routing, options_.sta);
   stage.emplace("flow.extract_faults", "flow");
   FaultUniverse universe =
-      extract_dfm_faults(netlist, *placement, routing, udfm_);
+      extract_dfm_faults(netlist, *placement, routing, *udfm_);
   stage.reset();
   AtpgOptions atpg_options = options_.atpg;
   atpg_options.generate_tests = generate_tests;
@@ -187,7 +189,7 @@ Expected<FlowState> DesignFlow::probe_reanalyze_impl(
     }
   }
   AtpgResult atpg =
-      run_atpg_overlay(netlist, universe, udfm_, atpg_options, base_cache,
+      run_atpg_overlay(netlist, universe, *udfm_, atpg_options, base_cache,
                        updates);
   if (atpg.cancelled) return cancel->to_status();
   if (counters != nullptr) counters->merge(atpg.counters);
@@ -213,7 +215,7 @@ Expected<std::size_t> DesignFlow::probe_count_impl(
   TraceSpan probe_span("flow.u_in_probe", "flow");
   const FaultUniverse internal = [&] {
     TraceSpan span("flow.extract_faults", "flow");
-    return extract_internal_faults(nl, udfm_);
+    return extract_internal_faults(nl, *udfm_);
   }();
   AtpgOptions atpg_options = options_.atpg;
   atpg_options.generate_tests = false;
@@ -227,7 +229,7 @@ Expected<std::size_t> DesignFlow::probe_count_impl(
     }
   }
   const AtpgResult result =
-      run_atpg_overlay(nl, internal, udfm_, atpg_options, base_cache, updates);
+      run_atpg_overlay(nl, internal, *udfm_, atpg_options, base_cache, updates);
   if (result.cancelled) return cancel->to_status();
   if (counters != nullptr) counters->merge(result.counters);
   ProgressCounters& progress = ProgressCounters::global();
@@ -344,7 +346,7 @@ std::vector<CellId> DesignFlow::cells_by_internal_faults() const {
   for (std::uint32_t i = 0; i < target_->num_cells(); ++i) {
     const CellId id{i};
     if (target_->cell(id).sequential) continue;
-    const std::size_t count = internal_fault_count(*target_, udfm_, id);
+    const std::size_t count = internal_fault_count(*target_, *udfm_, id);
     if (count > 0) ranked.emplace_back(count, id);
   }
   std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {

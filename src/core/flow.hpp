@@ -265,7 +265,7 @@ class DesignFlow {
     return atpg_totals_;
   }
 
-  [[nodiscard]] const UdfmMap& udfm() const { return udfm_; }
+  [[nodiscard]] const UdfmMap& udfm() const { return *udfm_; }
   [[nodiscard]] const Library& target() const { return *target_; }
   [[nodiscard]] const std::shared_ptr<const Library>& target_ptr() const {
     return target_;
@@ -305,7 +305,8 @@ class DesignFlow {
 
   std::shared_ptr<const Library> target_;
   FlowOptions options_;
-  UdfmMap udfm_;
+  /// The target library's process-wide UDFM (shared_udfm).
+  std::shared_ptr<const UdfmMap> udfm_;
   FaultStatusCache cache_;
   /// Reusable fault-simulator buffers for committed analyses (probes
   /// bring their own arena so they can run concurrently).

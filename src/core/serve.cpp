@@ -18,6 +18,8 @@
 #include "src/core/lease.hpp"
 #include "src/core/request.hpp"
 #include "src/core/telemetry.hpp"
+#include "src/faults/udfm_map.hpp"
+#include "src/library/osu018.hpp"
 #include "src/util/fsio.hpp"
 #include "src/util/json.hpp"
 #include "src/util/logging.hpp"
@@ -700,6 +702,9 @@ Expected<ServeStats> Server::run() {
                        "serve: --campaign-root is required");
   }
   if (Status s = make_dir(options_.campaign_root); !s.is_ok()) return s;
+  // Every job maps onto OSU018: extract its UDFM before the socket opens,
+  // so no request pays for it.
+  (void)shared_udfm(osu018_library());
   if (Status s = setup_socket(); !s.is_ok()) return s;
 
   int wake[2] = {-1, -1};

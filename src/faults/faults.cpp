@@ -1,7 +1,6 @@
 #include <algorithm>
 
 #include "src/faults/fault.hpp"
-#include "src/faults/udfm_map.hpp"
 #include "src/netlist/netlist.hpp"
 
 namespace dfmres {
@@ -44,11 +43,6 @@ std::vector<std::size_t> FaultUniverse::per_guideline(
     if (f.guideline < num_guidelines) ++counts[f.guideline];
   }
   return counts;
-}
-
-UdfmMap::UdfmMap(const Library& lib) {
-  udfm_.reserve(lib.num_cells());
-  for (const CellSpec& cell : lib) udfm_.push_back(extract_cell_udfm(cell));
 }
 
 }  // namespace dfmres

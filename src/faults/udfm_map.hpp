@@ -1,5 +1,6 @@
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "src/library/library.hpp"
@@ -21,5 +22,15 @@ class UdfmMap {
  private:
   std::vector<CellUdfm> udfm_;
 };
+
+/// The process-wide UdfmMap of `lib`. The first call for a library
+/// extracts it (under a mutex, so concurrent first callers wait and the
+/// map is built once); every later call returns the same immutable
+/// object. Entries are keyed by the library object's identity, not its
+/// contents: a copy of a library gets its own map. An entry is dropped
+/// by the first call after its library has died, and the map itself
+/// once the last holder lets go.
+[[nodiscard]] std::shared_ptr<const UdfmMap> shared_udfm(
+    const std::shared_ptr<const Library>& lib);
 
 }  // namespace dfmres

@@ -13,40 +13,49 @@ enum class Conduction : std::uint8_t { Off, On, Maybe };
 constexpr std::uint16_t kGnd = TransistorNetwork::kGnd;
 constexpr std::uint16_t kVdd = TransistorNetwork::kVdd;
 
-struct RepMap {
-  std::vector<std::uint16_t> parent;
+/// Reach flag of one (driven value, mode) sweep. `mode` 0 = strong
+/// definite path (full-swing devices only), 1 = any definite path
+/// (possibly degraded), 2 = path through uncertain (X-gate) devices.
+constexpr std::uint8_t reach_bit(bool value, int mode) {
+  return static_cast<std::uint8_t>(1u << ((value ? 3 : 0) + mode));
+}
 
-  explicit RepMap(std::size_t n) : parent(n) {
-    std::iota(parent.begin(), parent.end(), std::uint16_t{0});
-  }
-  std::uint16_t find(std::uint16_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  }
-  /// Merge, preferring rails (then lower index) as the root so that rail
-  /// identity survives bridging defects.
-  void merge(std::uint16_t a, std::uint16_t b) {
-    a = find(a);
-    b = find(b);
-    if (a == b) return;
-    if (b == kGnd || b == kVdd || (a != kGnd && a != kVdd && b < a)) {
-      std::swap(a, b);
-    }
-    parent[b] = a;
-  }
+/// Working buffers of one eval(), kept per thread and reused.
+struct Scratch {
+  std::vector<std::uint16_t> rep;     ///< representative of each node
+  std::vector<SwitchValue> value;     ///< per representative
+  std::vector<std::uint8_t> pinned;   ///< per representative: a source
+  std::vector<std::uint8_t> reach;    ///< per representative: reach_bit set
+  std::vector<std::uint16_t> source;  ///< per device: source representative
+  std::vector<std::uint16_t> drain;   ///< per device: drain representative
+  std::vector<Conduction> cond;       ///< per device
+  std::vector<std::uint32_t> adj_begin;  ///< CSR offsets, one per node + 1
+  std::vector<std::uint32_t> adj;        ///< device ids, two per device
+  std::vector<std::uint16_t> stack;      ///< BFS frontier
 };
 
-/// Per-node driver reachability flags for one logic value.
-struct Reach {
-  std::vector<bool> strong;  ///< definite path, full-swing devices only
-  std::vector<bool> any;     ///< definite path, possibly degraded
-  std::vector<bool> maybe;   ///< path through uncertain (X-gate) devices
+thread_local Scratch tls_scratch;
 
-  explicit Reach(std::size_t n) : strong(n), any(n), maybe(n) {}
-};
+std::uint16_t find(std::vector<std::uint16_t>& parent, std::uint16_t x) {
+  while (parent[x] != x) {
+    parent[x] = parent[parent[x]];
+    x = parent[x];
+  }
+  return x;
+}
+
+/// Merges two nodes' classes, preferring rails (then the lower index) as
+/// the root so that rail identity survives bridging defects.
+void merge(std::vector<std::uint16_t>& parent, std::uint16_t a,
+           std::uint16_t b) {
+  a = find(parent, a);
+  b = find(parent, b);
+  if (a == b) return;
+  if (b == kGnd || b == kVdd || (a != kGnd && a != kVdd && b < a)) {
+    std::swap(a, b);
+  }
+  parent[b] = a;
+}
 
 }  // namespace
 
@@ -55,29 +64,45 @@ SwitchSim::SwitchSim(const TransistorNetwork& network) : network_(network) {}
 std::vector<SwitchValue> SwitchSim::eval(
     std::uint32_t pattern, const CellDefect* defect,
     std::span<const SwitchValue> prev) const {
+  std::vector<SwitchValue> out;
+  eval(pattern, defect, prev, out);
+  return out;
+}
+
+void SwitchSim::eval(std::uint32_t pattern, const CellDefect* defect,
+                     std::span<const SwitchValue> prev,
+                     std::vector<SwitchValue>& out) const {
   const auto& nw = network_;
   const std::size_t n = nw.num_nodes;
-  RepMap reps(n);
+  const std::size_t num_devices = nw.transistors.size();
+  Scratch& sc = tls_scratch;
 
-  // Apply topology-changing defects.
+  // Apply topology-changing defects, then flatten every node onto its
+  // class representative.
+  auto& rep = sc.rep;
+  rep.resize(n);
+  std::iota(rep.begin(), rep.end(), std::uint16_t{0});
   if (defect) {
     switch (defect->kind) {
-      case DefectKind::NodeShortToVdd: reps.merge(defect->a, kVdd); break;
-      case DefectKind::NodeShortToGnd: reps.merge(defect->a, kGnd); break;
-      case DefectKind::NodeBridge: reps.merge(defect->a, defect->b); break;
+      case DefectKind::NodeShortToVdd: merge(rep, defect->a, kVdd); break;
+      case DefectKind::NodeShortToGnd: merge(rep, defect->a, kGnd); break;
+      case DefectKind::NodeBridge: merge(rep, defect->a, defect->b); break;
       default: break;
     }
   }
+  for (std::uint16_t i = 0; i < n; ++i) rep[i] = find(rep, i);
 
   // Pinned values: rails and input pins are driver sources. A rep merged
   // with a rail takes the rail value.
-  std::vector<SwitchValue> value(n, SwitchValue::X);
-  std::vector<bool> pinned(n, false);
+  auto& value = sc.value;
+  auto& pinned = sc.pinned;
+  value.assign(n, SwitchValue::X);
+  pinned.assign(n, 0);
   auto pin = [&](std::uint16_t node, SwitchValue v) {
-    const std::uint16_t r = reps.find(node);
+    const std::uint16_t r = rep[node];
     if (!pinned[r]) {
       value[r] = v;
-      pinned[r] = true;
+      pinned[r] = 1;
     }
   };
   pin(kGnd, SwitchValue::Zero);
@@ -87,28 +112,52 @@ std::vector<SwitchValue> SwitchSim::eval(
         ((pattern >> i) & 1u) ? SwitchValue::One : SwitchValue::Zero);
   }
 
-  // Per-transistor adjacency on representatives.
-  std::vector<std::vector<std::uint32_t>> adjacency(n);
-  for (std::uint32_t t = 0; t < nw.transistors.size(); ++t) {
-    adjacency[reps.find(nw.transistors[t].source_node)].push_back(t);
-    adjacency[reps.find(nw.transistors[t].drain_node)].push_back(t);
+  // Per-device terminals and the CSR adjacency on representatives, each
+  // node's devices in device order.
+  auto& source = sc.source;
+  auto& drain = sc.drain;
+  auto& adj_begin = sc.adj_begin;
+  auto& adj = sc.adj;
+  source.resize(num_devices);
+  drain.resize(num_devices);
+  adj_begin.assign(n + 1, 0);
+  for (std::size_t t = 0; t < num_devices; ++t) {
+    source[t] = rep[nw.transistors[t].source_node];
+    drain[t] = rep[nw.transistors[t].drain_node];
+    ++adj_begin[source[t] + 1];
+    ++adj_begin[drain[t] + 1];
   }
+  for (std::size_t i = 0; i < n; ++i) adj_begin[i + 1] += adj_begin[i];
+  // The offsets double as fill cursors, each ending on the next node's
+  // start; shifting them back by one node restores them.
+  adj.resize(2 * num_devices);
+  for (std::uint32_t t = 0; t < num_devices; ++t) {
+    adj[adj_begin[source[t]]++] = t;
+    adj[adj_begin[drain[t]]++] = t;
+  }
+  for (std::size_t i = n; i > 0; --i) adj_begin[i] = adj_begin[i - 1];
+  adj_begin[0] = 0;
 
-  std::vector<Conduction> cond(nw.transistors.size(), Conduction::Off);
+  auto& cond = sc.cond;
+  auto& reach = sc.reach;
+  auto& stack = sc.stack;
+  cond.assign(num_devices, Conduction::Off);
 
-  // BFS from one driver source. `value_driven` selects device strength:
-  // NMOS passes 0 at full swing but degrades 1; PMOS the reverse. `mode`
-  // 0 = strong-definite, 1 = any-definite, 2 = maybe.
-  const auto run_reach = [&](std::uint16_t start, bool value_driven, int mode,
-                             std::vector<bool>& out) {
-    if (out[start]) return;  // another source of this class already swept
-    std::vector<std::uint16_t> queue{start};
-    out[start] = true;
-    while (!queue.empty()) {
-      const std::uint16_t node = queue.back();
-      queue.pop_back();
-      if (node != start && pinned[node]) continue;  // sources terminate paths
-      for (std::uint32_t t : adjacency[node]) {
+  // Sweep from one driver source. `value_driven` selects device strength:
+  // NMOS passes 0 at full swing but degrades 1; PMOS the reverse.
+  const auto run_reach = [&](std::uint16_t start, bool value_driven,
+                             int mode) {
+    const std::uint8_t bit = reach_bit(value_driven, mode);
+    if (reach[start] & bit) return;  // another source of this class swept
+    stack.clear();
+    stack.push_back(start);
+    reach[start] |= bit;
+    while (!stack.empty()) {
+      const std::uint16_t node = stack.back();
+      stack.pop_back();
+      if (node != start && pinned[node]) continue;  // sources end paths
+      for (std::uint32_t i = adj_begin[node]; i < adj_begin[node + 1]; ++i) {
+        const std::uint32_t t = adj[i];
         const Conduction c = cond[t];
         if (c == Conduction::Off) continue;
         if (mode < 2 && c == Conduction::Maybe) continue;
@@ -117,22 +166,19 @@ std::vector<SwitchValue> SwitchSim::eval(
                                                : !nw.transistors[t].is_pmos;
           if (!full_swing) continue;
         }
-        const std::uint16_t s = reps.find(nw.transistors[t].source_node);
-        const std::uint16_t d = reps.find(nw.transistors[t].drain_node);
-        const std::uint16_t other = (s == node) ? d : s;
-        if (!out[other]) {
-          out[other] = true;
-          queue.push_back(other);
+        const std::uint16_t other =
+            (source[t] == node) ? drain[t] : source[t];
+        if (!(reach[other] & bit)) {
+          reach[other] |= bit;
+          stack.push_back(other);
         }
       }
     }
   };
 
-  Reach reach0(n), reach1(n);
-
   for (int iter = 0; iter < 8; ++iter) {
     // Transistor conduction from gate values.
-    for (std::uint32_t t = 0; t < nw.transistors.size(); ++t) {
+    for (std::uint32_t t = 0; t < num_devices; ++t) {
       const Transistor& tr = nw.transistors[t];
       if (defect && defect->kind == DefectKind::TransistorStuckOpen &&
           defect->a == t) {
@@ -144,7 +190,7 @@ std::vector<SwitchValue> SwitchSim::eval(
         cond[t] = Conduction::On;
         continue;
       }
-      SwitchValue g = value[reps.find(tr.gate_node)];
+      SwitchValue g = value[rep[tr.gate_node]];
       if (defect && defect->kind == DefectKind::PinOpen &&
           tr.gate_node == nw.input_nodes[defect->a]) {
         g = SwitchValue::X;  // floating gate
@@ -163,35 +209,26 @@ std::vector<SwitchValue> SwitchSim::eval(
     }
 
     // Reachability from every driver source, split by driven value.
-    for (auto* r : {&reach0, &reach1}) {
-      std::fill(r->strong.begin(), r->strong.end(), false);
-      std::fill(r->any.begin(), r->any.end(), false);
-      std::fill(r->maybe.begin(), r->maybe.end(), false);
-    }
+    reach.assign(n, 0);
     for (std::uint16_t node = 0; node < n; ++node) {
-      if (reps.find(node) != node || !pinned[node]) continue;
+      if (rep[node] != node || !pinned[node]) continue;
       const SwitchValue v = value[node];
       if (v == SwitchValue::Zero || v == SwitchValue::X) {
-        Reach& r = reach0;
-        run_reach(node, false, 0, r.strong);
-        run_reach(node, false, 1, r.any);
-        run_reach(node, false, 2, r.maybe);
+        for (int mode = 0; mode < 3; ++mode) run_reach(node, false, mode);
       }
       if (v == SwitchValue::One || v == SwitchValue::X) {
-        Reach& r = reach1;
-        run_reach(node, true, 0, r.strong);
-        run_reach(node, true, 1, r.any);
-        run_reach(node, true, 2, r.maybe);
+        for (int mode = 0; mode < 3; ++mode) run_reach(node, true, mode);
       }
     }
 
     bool changed = false;
     for (std::uint16_t r = 0; r < n; ++r) {
-      if (reps.find(r) != r || pinned[r]) continue;
-      const bool s0 = reach0.strong[r], a0 = reach0.any[r],
-                 m0 = reach0.maybe[r];
-      const bool s1 = reach1.strong[r], a1 = reach1.any[r],
-                 m1 = reach1.maybe[r];
+      if (rep[r] != r || pinned[r]) continue;
+      const std::uint8_t f = reach[r];
+      const bool s0 = f & reach_bit(false, 0), a0 = f & reach_bit(false, 1),
+                 m0 = f & reach_bit(false, 2);
+      const bool s1 = f & reach_bit(true, 0), a1 = f & reach_bit(true, 1),
+                 m1 = f & reach_bit(true, 2);
       SwitchValue v;
       if (s0 && !a1 && !m1) {
         v = SwitchValue::Zero;
@@ -215,9 +252,8 @@ std::vector<SwitchValue> SwitchSim::eval(
   }
 
   // Expand representative values to all nodes.
-  std::vector<SwitchValue> out(n);
-  for (std::uint16_t i = 0; i < n; ++i) out[i] = value[reps.find(i)];
-  return out;
+  out.resize(n);
+  for (std::uint16_t i = 0; i < n; ++i) out[i] = value[rep[i]];
 }
 
 }  // namespace dfmres

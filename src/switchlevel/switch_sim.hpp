@@ -44,6 +44,12 @@ struct CellDefect {
 ///  - An isolated node retains its previous value when one is supplied
 ///    (charge retention, needed for two-pattern stuck-open detection),
 ///    otherwise it is Z.
+///
+/// Thread safety: eval() may run concurrently, on one SwitchSim or on
+/// many. Its working buffers (node representatives, CSR device
+/// adjacency, reach flags, BFS stack) are thread_local and reused from
+/// call to call, so once a thread's buffers have grown to the largest
+/// cell, the output-parameter eval() allocates nothing.
 class SwitchSim {
  public:
   explicit SwitchSim(const TransistorNetwork& network);
@@ -56,6 +62,12 @@ class SwitchSim {
   [[nodiscard]] std::vector<SwitchValue> eval(
       std::uint32_t pattern, const CellDefect* defect = nullptr,
       std::span<const SwitchValue> prev = {}) const;
+
+  /// As above, writing the node values into `out` (resized to the node
+  /// count).
+  void eval(std::uint32_t pattern, const CellDefect* defect,
+            std::span<const SwitchValue> prev,
+            std::vector<SwitchValue>& out) const;
 
   [[nodiscard]] const TransistorNetwork& network() const { return network_; }
 

@@ -74,7 +74,13 @@ CellUdfm extract_cell_udfm(const CellSpec& cell) {
   // Good-machine outputs per pattern (from the network, which tests verify
   // against the cell truth tables separately).
   std::vector<std::vector<SwitchValue>> good(num_patterns);
-  for (std::uint32_t p = 0; p < num_patterns; ++p) good[p] = sim.eval(p);
+  for (std::uint32_t p = 0; p < num_patterns; ++p) {
+    sim.eval(p, nullptr, {}, good[p]);
+  }
+
+  // Per-defect buffers, reused across defects.
+  std::vector<std::vector<SwitchValue>> faulty(num_patterns);
+  std::vector<SwitchValue> seq;
 
   for (const CellDefect& defect : enumerate_cell_defects(cell)) {
     CellInternalFault fault{defect, {}};
@@ -97,9 +103,8 @@ CellUdfm extract_cell_udfm(const CellSpec& cell) {
     // defects.
     std::vector<std::vector<bool>> static_detect(
         cell.num_outputs, std::vector<bool>(num_patterns, false));
-    std::vector<std::vector<SwitchValue>> faulty(num_patterns);
     for (std::uint32_t p = 0; p < num_patterns; ++p) {
-      faulty[p] = sim.eval(p, &defect);
+      sim.eval(p, &defect, {}, faulty[p]);
       for (std::uint8_t out = 0; out < cell.num_outputs; ++out) {
         const std::uint16_t node = nw.output_nodes[out];
         const auto fv = as_bool(faulty[p][node]);
@@ -127,7 +132,7 @@ CellUdfm extract_cell_udfm(const CellSpec& cell) {
         // way production cell-aware UDFMs qualify open defects. This is
         // what makes internal-fault detection conditions strict.
         if (std::popcount(p0 ^ p1) != 1) continue;
-        const auto seq = sim.eval(p1, &defect, faulty[p0]);
+        sim.eval(p1, &defect, faulty[p0], seq);
         for (std::uint8_t out = 0; out < cell.num_outputs; ++out) {
           if (static_detect[out][p1]) continue;
           const std::uint16_t node = nw.output_nodes[out];

@@ -18,6 +18,8 @@ struct UdfmPattern {
   bool has_prev = false;
   std::uint8_t output = 0;        ///< observing cell output pin
   bool faulty_value = false;      ///< value the output takes when defective
+
+  friend bool operator==(const UdfmPattern&, const UdfmPattern&) = default;
 };
 
 /// A cell-internal DFM fault: a physical defect plus every boundary
@@ -26,6 +28,9 @@ struct UdfmPattern {
 struct CellInternalFault {
   CellDefect defect;
   std::vector<UdfmPattern> patterns;
+
+  friend bool operator==(const CellInternalFault&,
+                         const CellInternalFault&) = default;
 };
 
 /// Internal-fault universe of one library cell; extracted once and reused
@@ -35,6 +40,8 @@ struct CellUdfm {
   std::vector<CellInternalFault> faults;
 
   [[nodiscard]] std::size_t num_faults() const { return faults.size(); }
+
+  friend bool operator==(const CellUdfm&, const CellUdfm&) = default;
 };
 
 /// Enumerates the intra-cell defect sites anticipated by DFM guidelines

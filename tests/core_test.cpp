@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+#include <thread>
+#include <vector>
+
 #include "src/circuits/benchmarks.hpp"
 #include "src/circuits/builder.hpp"
 #include "src/core/flow.hpp"
@@ -8,6 +13,7 @@
 #include "src/sim/parallel_sim.hpp"
 #include "src/synth/mapper.hpp"
 #include "src/library/osu018.hpp"
+#include "src/util/trace.hpp"
 
 namespace dfmres {
 namespace {
@@ -196,6 +202,75 @@ TEST(Resynthesis, FunctionIsPreserved) {
           << "observe " << i;
     }
   }
+}
+
+// ---------------------------------------------------------------------
+// shared_udfm: one UDFM per library object per process.
+// ---------------------------------------------------------------------
+
+std::shared_ptr<const Library> osu018_copy() {
+  return std::make_shared<const Library>(*osu018_library());
+}
+
+TEST(SharedUdfm, FlowsOnOneLibraryShareOneMap) {
+  const DesignFlow a(osu018_library(), fast_options());
+  const DesignFlow b(osu018_library(), fast_options());
+  EXPECT_EQ(&a.udfm(), &b.udfm());
+  EXPECT_EQ(&a.udfm(), shared_udfm(osu018_library()).get());
+}
+
+TEST(SharedUdfm, CopiedLibraryGetsItsOwnEqualMap) {
+  const auto copy = osu018_copy();
+  const DesignFlow original(osu018_library(), fast_options());
+  const DesignFlow copied(copy, fast_options());
+  EXPECT_NE(&original.udfm(), &copied.udfm());
+  const UdfmMap fresh(*copy);
+  for (std::uint32_t c = 0; c < copy->num_cells(); ++c) {
+    EXPECT_EQ(copied.udfm().of(CellId(c)), fresh.of(CellId(c)))
+        << copy->cell(CellId(c)).name;
+  }
+}
+
+TEST(SharedUdfm, MapExpiresAfterItsLibraryDies) {
+  std::weak_ptr<const UdfmMap> weak;
+  {
+    const auto copy = osu018_copy();
+    const DesignFlow flow(copy, fast_options());
+    weak = shared_udfm(copy);
+    EXPECT_EQ(weak.lock().get(), &flow.udfm());
+  }
+  // The registry still holds the map until its next call prunes it.
+  EXPECT_FALSE(weak.expired());
+  (void)shared_udfm(osu018_library());
+  EXPECT_TRUE(weak.expired());
+}
+
+TEST(SharedUdfm, RacingFirstCallersGetOneMapBuiltOnce) {
+  const auto copy = osu018_copy();
+  Tracer::instance().reset();
+  Tracer::instance().enable();
+  constexpr int kThreads = 8;
+  std::vector<const UdfmMap*> got(kThreads, nullptr);
+  {
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kThreads; ++i) {
+      threads.emplace_back([&, i] { got[i] = shared_udfm(copy).get(); });
+    }
+    for (std::thread& t : threads) t.join();
+  }
+  Tracer::instance().disable();
+  std::vector<TraceEvent> builds;
+  for (const TraceEvent& e : Tracer::instance().snapshot()) {
+    if (std::strcmp(e.name, "faults.udfm_build") == 0) builds.push_back(e);
+  }
+  Tracer::instance().reset();
+
+  for (const UdfmMap* map : got) EXPECT_EQ(map, got[0]);
+  EXPECT_EQ(got[0], shared_udfm(copy).get());
+  ASSERT_EQ(builds.size(), 1u);
+  ASSERT_EQ(builds[0].args.size(), 1u);
+  EXPECT_EQ(builds[0].args[0].first, "cells");
+  EXPECT_EQ(builds[0].args[0].second, std::to_string(copy->num_cells()));
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 
 #include "src/library/osu018.hpp"
 #include "src/switchlevel/switch_sim.hpp"
@@ -155,6 +156,44 @@ TEST(Udfm, DeterministicAcrossCalls) {
     EXPECT_EQ(a.faults[i].defect, b.faults[i].defect);
     EXPECT_EQ(a.faults[i].patterns.size(), b.faults[i].patterns.size());
   }
+}
+
+/// FNV-1a over every cell's extracted UDFM, in library order: per cell
+/// its fault count, per fault the defect and its pattern count, per
+/// pattern every field.
+std::uint64_t library_udfm_digest(const Library& lib) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const CellSpec& c : lib) {
+    const CellUdfm udfm = extract_cell_udfm(c);
+    mix(udfm.num_faults());
+    for (const CellInternalFault& f : udfm.faults) {
+      mix(static_cast<std::uint64_t>(f.defect.kind));
+      mix(f.defect.a);
+      mix(f.defect.b);
+      mix(f.patterns.size());
+      for (const UdfmPattern& p : f.patterns) {
+        mix(p.inputs);
+        mix(p.prev_inputs);
+        mix(p.has_prev);
+        mix(p.output);
+        mix(p.faulty_value);
+      }
+    }
+  }
+  return h;
+}
+
+// Pins the switch-level extraction of both shipped libraries bit for
+// bit: a faster simulator or a shared UDFM must not move one pattern.
+TEST(Udfm, LibraryDigestPinned) {
+  EXPECT_EQ(library_udfm_digest(*osu018_library()), 0x3907489c1d1df567ull);
+  EXPECT_EQ(library_udfm_digest(*generic_library()), 0x8421ae126c7ced25ull);
 }
 
 }  // namespace
