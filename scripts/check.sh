@@ -52,6 +52,10 @@ expect_exit 1 "$BUILD_DIR/tools/dfmres" request --socket /nonexistent.sock drain
 expect_exit 2 "$BUILD_DIR/tools/dfmres" resyn sparc_tlu --q 999
 expect_exit 2 "$BUILD_DIR/tools/dfmres" flow sparc_tlu --util bogus
 expect_exit 2 "$BUILD_DIR/tools/dfmres" flow sparc_tlu --simd=auto
+# --max-inflight is serve's one bound on queued jobs; the removed
+# queue bound flag is a usage error.
+expect_exit 2 "$BUILD_DIR/tools/dfmres" serve --campaign-root D \
+  --listen S --queue-capacity 4
 expect_exit 2 "$BUILD_DIR/tools/dfmres" no_such_command
 echo "cli exit codes: 0/1/2 contract holds"
 

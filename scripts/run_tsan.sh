@@ -4,7 +4,8 @@
 # that drive the pool (atpg_test exercises the parallel sweeps in
 # run_atpg, sim_test the shared simulation substrate, campaign_test the
 # multi-job scheduler, warm_start_test the parallel resynthesis ladder,
-# core_test the shared UDFM registry) plus the pool's own unit tests.
+# core_test the shared UDFM registry, serve_test the serve daemon's job
+# queue) plus the pool's own unit tests.
 # Any data race aborts with a TSan report and a non-zero exit.
 # Usage: scripts/run_tsan.sh [build-dir]
 set -eu
@@ -16,17 +17,12 @@ cmake -B "$BUILD_DIR" -S . -DDFMRES_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
   --target atpg_test sim_test util_test observability_test campaign_test \
-  overlay_test fault_sim_test lease_test ready_queue_test warm_start_test \
-  core_test
+  overlay_test fault_sim_test lease_test warm_start_test core_test \
+  serve_test
 
 # TSAN_OPTIONS: fail loudly, first report wins.
 TSAN_OPTIONS="halt_on_error=1 exitcode=66" \
   "$BUILD_DIR/tests/util_test" --gtest_filter='ThreadPool.*:Logging.*'
-# ReadyQueue: the serve daemon's MPMC dispatch queue. The stress suite
-# mixes try_/blocking push/pop from many producers and consumers; any
-# racy cell handoff shows up here. (serve_test itself is fork-based and
-# stays out of TSan, like the other fork-driven suites.)
-TSAN_OPTIONS="halt_on_error=1 exitcode=66" "$BUILD_DIR/tests/ready_queue_test"
 TSAN_OPTIONS="halt_on_error=1 exitcode=66" "$BUILD_DIR/tests/atpg_test"
 TSAN_OPTIONS="halt_on_error=1 exitcode=66" "$BUILD_DIR/tests/sim_test"
 # Tracer buffers + cross-worker span propagation and the metrics locks.
@@ -61,5 +57,12 @@ TSAN_OPTIONS="halt_on_error=1 exitcode=66" "$BUILD_DIR/tests/core_test" \
 # case is excluded (fork + TSan runtime do not mix).
 TSAN_OPTIONS="halt_on_error=1 exitcode=66" "$BUILD_DIR/tests/lease_test" \
   --gtest_filter='-CampaignWorkerHeavy.*'
+
+# Serve daemon on a thread of the test process: the main loop pushes
+# admitted jobs, two workers pop them, and close wakes idle workers.
+# The fork-based ServeHeavy suite is excluded (fork + TSan runtime do
+# not mix).
+TSAN_OPTIONS="halt_on_error=1 exitcode=66" "$BUILD_DIR/tests/serve_test" \
+  --gtest_filter='Serve.*'
 
 echo "TSan: no data races detected."

@@ -28,7 +28,6 @@
 #include "src/util/fsio.hpp"
 #include "src/util/json.hpp"
 #include "src/util/logging.hpp"
-#include "src/util/ready_queue.hpp"
 #include "src/util/thread_pool.hpp"
 #include "src/util/trace.hpp"
 
@@ -449,25 +448,17 @@ Expected<CampaignResult> run_campaign(const CampaignManifest& manifest,
       manifest.jobs.size(), out.jobs_in_flight, out.inner_threads);
 
   const auto t0 = std::chrono::steady_clock::now();
-  // The ready queue replaces the old atomic job counter: producers
-  // seed it in manifest order, runners pull relaxed-FIFO. Determinism
-  // is unaffected — each result lands in its manifest slot
-  // (out.jobs[i]) and the report renders in manifest order, so the
-  // queue only ever changes *dispatch* order, never output bytes.
-  ReadyQueue ready(manifest.jobs.size());
-  for (std::size_t i = 0; i < manifest.jobs.size(); ++i) {
-    if (!ready.try_push(i)) {
-      return make_status(StatusCode::kInternal,
-                         "campaign ready queue rejected job %zu", i);
-    }
-  }
-  ready.close();  // pop() drains the backlog, then reports closed
+  // Runners take manifest indices from one shared counter, in manifest
+  // order. Determinism does not depend on which runner gets which job:
+  // each result lands in its manifest slot (out.jobs[i]) and the report
+  // renders in manifest order.
+  std::atomic<std::size_t> next{0};
   const auto runner = [&] {
     for (;;) {
-      Expected<std::uint64_t> i = ready.pop();
-      if (!i) return;  // closed and drained
-      out.jobs[*i] = run_job(manifest.jobs[*i], options, out.inner_threads);
-      const CampaignJobResult& job = out.jobs[*i];
+      const std::size_t i = next++;
+      if (i >= manifest.jobs.size()) return;
+      out.jobs[i] = run_job(manifest.jobs[i], options, out.inner_threads);
+      const CampaignJobResult& job = out.jobs[i];
       log(job.ok() ? LogLevel::Info : LogLevel::Warn,
           "campaign: job '%s' %s in %.1fs%s", job.name.c_str(),
           job.skipped ? "skipped"
@@ -1082,27 +1073,26 @@ Expected<CampaignWorkerStats> run_campaign_worker(
   ctx.telemetry = telemetry.has_value() ? &*telemetry : nullptr;
   ctx.max_attempts = lease_config.max_attempts;
 
-  // The same ready-queue pull as run_campaign and the serve daemon:
-  // each round seeds the queue with the jobs still lacking shards (in
-  // manifest order) and drains it through campaign_job_pass; busy or
-  // failed jobs come back on the next round.
-  ReadyQueue ready(manifest->jobs.size());
+  // Each round walks the jobs still lacking shards, in manifest order,
+  // through campaign_job_pass; busy or failed jobs come back on the
+  // next round.
   const auto poll_pause = std::min<std::chrono::nanoseconds>(
       options.heartbeat, std::chrono::milliseconds(200));
+  std::vector<std::size_t> pending;
   for (;;) {
     if (cancel_expired(options.cancel)) {
       stats.cancelled = true;
       break;
     }
-    std::size_t pending = 0;
+    pending.clear();
     for (std::size_t i = 0; i < manifest->jobs.size(); ++i) {
-      if (path_exists(shard_path(root, manifest->jobs[i].name))) continue;
-      if (ready.try_push(i)) ++pending;  // capacity = |jobs|: never full
+      if (!path_exists(shard_path(root, manifest->jobs[i].name))) {
+        pending.push_back(i);
+      }
     }
-    if (pending == 0) break;  // every job has a shard
+    if (pending.empty()) break;  // every job has a shard
     bool progressed = false;
-    std::uint64_t i = 0;
-    while (ready.try_pop(&i)) {
+    for (const std::size_t i : pending) {
       if (cancel_expired(options.cancel)) break;
       auto outcome = campaign_job_pass(ctx, manifest->jobs[i]);
       if (!outcome) return outcome.status();

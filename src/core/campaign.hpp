@@ -265,10 +265,11 @@ struct CampaignWorkerStats {
 // ---- Shared per-job execution core ----
 //
 // One claim-and-run pass over a single job: the unit both the
-// standalone worker (`dfmres work`) and the `dfmres serve` daemon
-// schedule through their ready queues. Everything stateful about the
-// pass lives in the campaign root (leases, checkpoints, shards), so a
-// pass is idempotent and safe to retry from any thread or process.
+// standalone worker (`dfmres work`, rounds in manifest order) and the
+// `dfmres serve` daemon (workers popping its job deque) schedule.
+// Everything stateful about the pass lives in the campaign root
+// (leases, checkpoints, shards), so a pass is idempotent and safe to
+// retry from any thread or process.
 
 class LeaseDir;
 class TelemetryPublisher;

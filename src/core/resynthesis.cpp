@@ -387,7 +387,7 @@ class Procedure {
     if (rec.banned.size() != flow_.target().num_cells()) {
       return make_status(StatusCode::kDataLoss,
                          "checkpoint replay: ban set covers %zu cells, "
-                         "target library has %u",
+                         "target library has %zu",
                          rec.banned.size(), flow_.target().num_cells());
     }
     std::vector<GateId> region;

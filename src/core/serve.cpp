@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cerrno>
+#include <condition_variable>
 #include <cstring>
 #include <deque>
 #include <mutex>
@@ -23,7 +24,6 @@
 #include "src/util/fsio.hpp"
 #include "src/util/json.hpp"
 #include "src/util/logging.hpp"
-#include "src/util/ready_queue.hpp"
 #include "src/util/thread_pool.hpp"
 
 namespace dfmres {
@@ -84,19 +84,22 @@ constexpr std::uint64_t encode_job(std::size_t campaign, std::size_t job) {
 
 /// Shared daemon state. The main thread owns admission, client I/O and
 /// campaign bookkeeping; workers own job execution. They meet at the
-/// ready queue (jobs out) and the event list + wake pipe (results in).
+/// job queue (jobs out) and the event list + wake pipe (results in).
 struct ServeState {
   explicit ServeState(const ServeOptions& options_in)
       : options(options_in),
-        server_token(Deadline::never(), options_in.cancel),
-        queue(options_in.queue_capacity) {}
+        server_token(Deadline::never(), options_in.cancel) {}
 
   const ServeOptions& options;
   CancelToken server_token;
-  ReadyQueue queue;
   std::deque<ServeCampaign> campaigns;
-  std::mutex mutex;  ///< guards campaigns size changes + events
+  std::mutex mutex;  ///< guards campaigns size changes, events, queue
   std::vector<WorkerEvent> events;
+  /// Admitted jobs waiting for a worker, FIFO. Every entry also counts
+  /// in `inflight`, so max_inflight_jobs bounds it.
+  std::deque<std::uint64_t> queue;
+  std::condition_variable queue_ready;  ///< signalled on push and close
+  bool closed = false;  ///< no more pushes; workers drain, then stop
   int wake_write = -1;
   std::atomic<std::size_t> inflight{0};
   int inner_threads = 1;
@@ -104,6 +107,38 @@ struct ServeState {
   ServeCampaign& campaign(std::size_t index) {
     std::lock_guard<std::mutex> lock(mutex);
     return campaigns[index];
+  }
+
+  void push(std::uint64_t item) {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      queue.push_back(item);
+    }
+    queue_ready.notify_one();
+  }
+
+  /// Blocks for the next job. Queued jobs are handed out even after
+  /// close; false only once the queue is closed and empty.
+  bool pop(std::uint64_t* item) {
+    std::unique_lock<std::mutex> lock(mutex);
+    queue_ready.wait(lock, [this] { return closed || !queue.empty(); });
+    if (queue.empty()) return false;
+    *item = queue.front();
+    queue.pop_front();
+    return true;
+  }
+
+  void close() {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      closed = true;
+    }
+    queue_ready.notify_all();
+  }
+
+  std::size_t queue_depth() {
+    std::lock_guard<std::mutex> lock(mutex);
+    return queue.size();
   }
 
   void post(WorkerEvent event) {
@@ -196,11 +231,8 @@ void run_queue_item(ServeState& state, const std::string& owner,
 
 void worker_main(ServeState& state, int index) {
   const std::string owner = strfmt("serve-w%d", index);
-  for (;;) {
-    Expected<std::uint64_t> item = state.queue.pop(&state.server_token);
-    if (!item) return;  // closed-and-drained, or server cancel
-    run_queue_item(state, owner, *item);
-  }
+  std::uint64_t item = 0;
+  while (state.pop(&item)) run_queue_item(state, owner, item);
 }
 
 // ---- response rendering --------------------------------------------------
@@ -315,7 +347,7 @@ class Server {
   void send_to(int fd, const std::string& bytes);
   void process_events();
   ServeCampaign* find_campaign(const std::string& id);
-  std::string render_server_status() const;
+  std::string render_server_status();
   void shutdown_workers();
 
   const ServeOptions& options_;
@@ -427,12 +459,6 @@ Status Server::admit(const std::string& id, CampaignManifest manifest,
                        "in-flight job bound: %zu + %zu > %zu", inflight, jobs,
                        options_.max_inflight_jobs);
   }
-  if (state_.queue.size_approx() + jobs > state_.queue.capacity()) {
-    return make_status(StatusCode::kResourceExhausted,
-                       "ready queue bound: %zu + %zu > %zu",
-                       state_.queue.size_approx(), jobs,
-                       state_.queue.capacity());
-  }
 
   const std::string root = options_.campaign_root + "/" + id;
   if (Status s = init_campaign_root(manifest, root); !s.is_ok()) return s;
@@ -451,14 +477,8 @@ Status Server::admit(const std::string& id, CampaignManifest manifest,
       ++c.jobs_terminal;
       continue;
     }
-    // Bound checked above; with one producer (this thread) the push
-    // cannot fail.
-    if (!state_.queue.try_push(encode_job(index, j))) {
-      return make_status(StatusCode::kInternal,
-                         "ready queue rejected job %zu of '%s'", j,
-                         id.c_str());
-    }
     state_.inflight.fetch_add(1);
+    state_.push(encode_job(index, j));
     ++pushed;
   }
   ++active_campaigns_;
@@ -566,7 +586,7 @@ void Server::handle_line(Client& client, std::string_view line) {
   handle_request(client, *std::move(request));
 }
 
-std::string Server::render_server_status() const {
+std::string Server::render_server_status() {
   JsonWriter w;
   w.begin_object();
   w.field("schema", schemas::kResponse);
@@ -577,8 +597,7 @@ std::string Server::render_server_status() const {
   w.field("active", static_cast<std::uint64_t>(active_campaigns_));
   w.field("inflight_jobs",
           static_cast<std::uint64_t>(state_.inflight.load()));
-  w.field("queue_depth",
-          static_cast<std::uint64_t>(state_.queue.size_approx()));
+  w.field("queue_depth", static_cast<std::uint64_t>(state_.queue_depth()));
   w.field("workers", static_cast<std::int64_t>(options_.workers));
   w.field("draining", draining_);
   w.end_object();
@@ -689,7 +708,7 @@ void Server::process_events() {
 }
 
 void Server::shutdown_workers() {
-  state_.queue.close();
+  state_.close();
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
   }

@@ -30,7 +30,7 @@ struct ServeOptions {
   /// Unix-domain socket path. An existing socket file is replaced
   /// (serve assumes it owns the path; run one daemon per root).
   std::string socket_path;
-  /// Worker threads pulling jobs off the ready queue.
+  /// Worker threads taking admitted jobs off the daemon's job queue.
   int workers = 2;
   /// Hardware budget split across the workers (0 = hardware
   /// concurrency), same two-level rule as run_campaign.
@@ -38,12 +38,11 @@ struct ServeOptions {
 
   // Admission control: a request that would exceed any bound is
   // rejected with kResourceExhausted — never silently queued.
-  /// Jobs admitted but not yet terminal, across all campaigns.
+  /// Jobs admitted but not yet terminal, across all campaigns. Every
+  /// queued job counts here, so this also bounds the job queue.
   std::size_t max_inflight_jobs = 64;
   /// Active (not yet completed) campaigns per client connection.
   std::size_t max_client_campaigns = 8;
-  /// Ready-queue bound (jobs waiting for a worker).
-  std::size_t queue_capacity = 256;
 
   /// Server-level stop signal (SIGINT/SIGTERM): running jobs unwind
   /// cooperatively, no skip shards are published, and everything

@@ -176,7 +176,11 @@ TEST(Lease, HeartbeatKeeperKeepsLeaseFreshAndTripsTokenOnTakeover) {
 
 TEST(Lease, FailedAttemptBacksOffThenRetriesWithPriorError) {
   const std::string root = make_lease_root("backoff");
-  const LeaseDir leases(root, fast_config("w1"));
+  // A backoff window a loaded host cannot overrun between mark_failed
+  // and the next try_claim, so the Backoff check is not timing-bound.
+  LeaseConfig config = fast_config("w1");
+  config.backoff_base = std::chrono::milliseconds(500);
+  const LeaseDir leases(root, config);
   ASSERT_TRUE(leases.init().is_ok());
   const auto first = leases.try_claim("job");
   ASSERT_TRUE(first);
@@ -190,7 +194,8 @@ TEST(Lease, FailedAttemptBacksOffThenRetriesWithPriorError) {
   EXPECT_GT(backoff->wait_ns, 0u);
   // After the window: claimable at the next attempt, carrying the
   // previous holder's error.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  std::this_thread::sleep_for(std::chrono::nanoseconds(backoff->wait_ns) +
+                              std::chrono::milliseconds(20));
   const auto retry = leases.try_claim("job");
   ASSERT_TRUE(retry) << retry.status().to_string();
   EXPECT_EQ(retry->outcome, Outcome::Claimed);

@@ -4,8 +4,11 @@
 // mid-run, restart it over the same campaign root, and the recovered
 // campaign's canonical report is byte-identical to a serial run.
 //
-// Fork-based (daemon as a child process), so scripts/run_tsan.sh
-// excludes ServeHeavy like the other multi-process suites.
+// ServeHeavy runs the daemon in a forked child, so scripts/run_tsan.sh
+// leaves it out like the other multi-process suites. Serve runs the
+// daemon on a thread of the test process instead, and run_tsan.sh runs
+// it: the job queue handoff between the main loop and the workers is
+// covered there.
 
 #include "src/core/serve.hpp"
 
@@ -20,6 +23,7 @@
 #include <cerrno>
 #include <csignal>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -415,6 +419,111 @@ TEST(ServeHeavy, SigkillRestartResumesByteIdentical) {
 
   // The kill schedule left no trace in the canonical projection.
   EXPECT_EQ(canon_of_file(root + "/gamma/report.json"), canon_of(*reference));
+}
+
+/// run_serve on a thread of this process (2 workers, 20 ms poll), with
+/// a cancel token the test owns. Cancelled and joined on destruction.
+class ThreadDaemon {
+ public:
+  ThreadDaemon(const std::string& root, const std::string& socket_path) {
+    options_.campaign_root = root;
+    options_.socket_path = socket_path;
+    options_.workers = 2;
+    options_.total_threads = 2;
+    options_.poll_interval = std::chrono::milliseconds(20);
+    options_.cancel = &cancel_;
+    thread_ = std::thread([this] { result_.emplace(run_serve(options_)); });
+  }
+  ~ThreadDaemon() {
+    cancel_.cancel();
+    if (thread_.joinable()) thread_.join();
+  }
+  ThreadDaemon(const ThreadDaemon&) = delete;
+  ThreadDaemon& operator=(const ThreadDaemon&) = delete;
+
+  void cancel() { cancel_.cancel(); }
+
+  /// Waits for run_serve to return and hands back its result.
+  Expected<ServeStats> join() {
+    thread_.join();
+    return *result_;
+  }
+
+ private:
+  ServeOptions options_;
+  CancelToken cancel_;
+  std::optional<Expected<ServeStats>> result_;
+  std::thread thread_;
+};
+
+/// The daemon's job queue without fork: two clients' jobs run on two
+/// workers, both reports match a serial run, and a drain ends the
+/// daemon cleanly. A second daemon that never gets a job has both
+/// workers blocked in the queue; tripping its token must still end it
+/// promptly, i.e. closing the queue wakes the waiting workers.
+TEST(Serve, InProcessDaemonRunsJobsAndStopsIdleWorkers) {
+  const CampaignManifest both = flow_manifest(2);
+  CampaignManifest alpha;
+  alpha.jobs.push_back(both.jobs[0]);
+  CampaignManifest beta;
+  beta.jobs.push_back(both.jobs[1]);
+
+  CampaignOptions serial;
+  serial.total_threads = 1;
+  const auto ref_alpha = run_campaign(alpha, serial);
+  ASSERT_TRUE(ref_alpha) << ref_alpha.status().to_string();
+  const auto ref_beta = run_campaign(beta, serial);
+  ASSERT_TRUE(ref_beta) << ref_beta.status().to_string();
+
+  const std::string base = make_root("thread");
+  {
+    const std::string root = base + "/serve";
+    const std::string sock = base + "/serve.sock";
+    ThreadDaemon daemon(root, sock);
+    Client c1;
+    Client c2;
+    ASSERT_TRUE(c1.connect(sock));
+    ASSERT_TRUE(c2.connect(sock));
+    ASSERT_TRUE(c1.send(submit("alpha", alpha)));
+    ASSERT_TRUE(c2.send(submit("beta", beta)));
+    expect_event(c1.wait_for("accepted"), "accepted");
+    expect_event(c2.wait_for("accepted"), "accepted");
+    const auto report_alpha = c1.wait_for("report");
+    ASSERT_TRUE(report_alpha) << report_alpha.status().to_string();
+    EXPECT_EQ(report_alpha->find("id")->as_string(), "alpha");
+    const auto report_beta = c2.wait_for("report");
+    ASSERT_TRUE(report_beta) << report_beta.status().to_string();
+    EXPECT_EQ(report_beta->find("id")->as_string(), "beta");
+
+    ASSERT_TRUE(c1.send(drain()));
+    expect_event(c1.wait_for("drained"), "drained");
+    const auto stats = daemon.join();
+    ASSERT_TRUE(stats) << stats.status().to_string();
+    EXPECT_TRUE(stats->drained);
+    EXPECT_EQ(stats->jobs_executed, 2u);
+    EXPECT_EQ(canon_of_file(root + "/alpha/report.json"),
+              canon_of(*ref_alpha));
+    EXPECT_EQ(canon_of_file(root + "/beta/report.json"), canon_of(*ref_beta));
+  }
+  {
+    const std::string sock = base + "/idle.sock";
+    ThreadDaemon daemon(base + "/idle", sock);
+    // A status answer comes from the main loop, which starts only
+    // after both workers exist; the pause lets them block in the queue.
+    Client c;
+    ASSERT_TRUE(c.connect(sock));
+    ASSERT_TRUE(c.send(status_of("")));
+    expect_event(c.wait_for("status"), "status");
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const auto t0 = std::chrono::steady_clock::now();
+    daemon.cancel();
+    const auto stats = daemon.join();
+    const auto waited = std::chrono::steady_clock::now() - t0;
+    ASSERT_TRUE(stats) << stats.status().to_string();
+    EXPECT_FALSE(stats->drained);
+    EXPECT_EQ(stats->jobs_executed, 0u);
+    EXPECT_LT(waited, std::chrono::seconds(2));
+  }
 }
 
 }  // namespace

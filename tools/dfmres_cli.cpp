@@ -298,8 +298,7 @@ int usage() {
                "[--interval D]\n"
                "  dfmres serve --campaign-root DIR --listen SOCKET "
                "[--workers N] [--threads N]\n"
-               "               [--max-inflight N] [--client-quota N] "
-               "[--queue-capacity N]\n"
+               "               [--max-inflight N] [--client-quota N]\n"
                "  dfmres request --socket S submit --id ID --manifest F "
                "[--wait]\n"
                "  dfmres request --socket S submit-job --id ID --design D "
@@ -1105,11 +1104,6 @@ int cmd_serve(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--client-quota") && i + 1 < argc) {
       if (!parse_long("--client-quota", argv[++i], 1, 100000, &v)) return 2;
       options.max_client_campaigns = static_cast<std::size_t>(v);
-    } else if (!std::strcmp(argv[i], "--queue-capacity") && i + 1 < argc) {
-      if (!parse_long("--queue-capacity", argv[++i], 1, 1000000, &v)) {
-        return 2;
-      }
-      options.queue_capacity = static_cast<std::size_t>(v);
     } else {
       return usage();
     }
