@@ -85,7 +85,14 @@ assert 0 < obs <= events, f"atpg.obs_propagations={obs}, events={events}"
 report = json.load(open(os.path.join(d, "report.json")))
 assert report["schema"] == "dfmres-run-report-v2"
 assert report["resynthesis"]["convergence"], "empty convergence series"
-assert "probe_proof_memo_hits" in report["resynthesis"]["counters"]
+counters = report["resynthesis"]["counters"]
+assert "probe_proof_memo_hits" in counters
+# Every probe PODEM->SAT handoff ends in exactly one SAT verdict.
+sat_verdicts = (counters["probe_sat_detected"] +
+                counters["probe_sat_undetectable"] +
+                counters["probe_sat_aborted"])
+assert counters["probe_podem_handoffs"] == sat_verdicts, \
+    f"probe handoffs {counters['probe_podem_handoffs']} != SAT D+U+A {sat_verdicts}"
 print("observability gate: trace/metrics/report OK")
 EOF
 python3 scripts/summarize_report.py "$OBS_DIR/report.json"
@@ -110,6 +117,13 @@ for key in ("podem_handoffs", "sat_calls", "sat_conflicts", "sat_detected",
             "sat_undetectable", "sat_aborted", "sat_seconds",
             "proof_memo_hits"):
     assert key in report["atpg"], f"report lacks atpg.{key}"
+# Every PODEM->SAT handoff is one SAT call ending in one verdict.
+atpg = report["atpg"]
+sat_verdicts = (atpg["sat_detected"] + atpg["sat_undetectable"] +
+                atpg["sat_aborted"])
+assert atpg["podem_handoffs"] == atpg["sat_calls"] == sat_verdicts, \
+    (f"{report['circuit']}: handoffs {atpg['podem_handoffs']}, SAT calls "
+     f"{atpg['sat_calls']}, SAT D+U+A {sat_verdicts}")
 # Each block proves some region undetectable twice in one run.
 hits = report["atpg"]["proof_memo_hits"]
 assert hits > 0, f"{report['circuit']}: no proof memo hits"

@@ -313,31 +313,36 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
   const auto phase1_start = Clock::now();
   phase_span.emplace("atpg.phase1.random", "atpg");
   // One 64-pattern batch per iteration; drawing stops the moment targets
-  // run dry, and the rng then feeds PODEM's concretize. The committed
-  // baseline also carries pre-simulated frames for these batches (same
-  // rng seed, same generator), so a probe replays them through the
-  // overlay — after checking the freshly drawn patterns against the
-  // stored ones, falling back to a full load on any divergence.
+  // run dry, and the rng then feeds PODEM's concretize. A baseline drawn
+  // at this run's seed, frame width and batch count already holds these
+  // patterns (phase 0 draws nothing), so each batch is copied from it and
+  // the rng restored to the state after that batch. When the probe's
+  // overlay plan is valid, the batch's pre-simulated frames replay
+  // through it too.
+  const SimBaseline* drawn =
+      options.baseline != nullptr &&
+              options.baseline->random_seed == options.seed &&
+              options.baseline->frame_width == num_sources &&
+              options.baseline->random_batch_count == options.random_batches
+          ? options.baseline
+          : nullptr;
   for (int batch = 0; batch < options.random_batches && !targets.empty() &&
                       !cancel_expired(options.cancel);
        ++batch) {
     const std::size_t first = tests.size();
-    const std::size_t at = static_cast<std::size_t>(batch) * kBatch;
-    for (std::size_t lane = 0; lane < kBatch; ++lane) {
-      tests.push_back({random_frame(num_sources, rng),
-                       random_frame(num_sources, rng)});
+    if (drawn != nullptr) {
+      const auto at = drawn->random_patterns.begin() +
+                      static_cast<std::ptrdiff_t>(batch) *
+                          static_cast<std::ptrdiff_t>(kBatch);
+      tests.insert(tests.end(), at, at + static_cast<std::ptrdiff_t>(kBatch));
+      rng = drawn->random_rng_after[static_cast<std::size_t>(batch)];
+    } else {
+      for (std::size_t lane = 0; lane < kBatch; ++lane) {
+        tests.push_back({random_frame(num_sources, rng),
+                         random_frame(num_sources, rng)});
+      }
     }
-    const bool batch_cached =
-        use_overlay &&
-        static_cast<std::size_t>(batch) <
-            options.baseline->random_batches.size() &&
-        options.baseline->random_batches[static_cast<std::size_t>(batch)]
-                .lanes == static_cast<int>(kBatch) &&
-        options.baseline->random_patterns.size() >= at + kBatch &&
-        std::equal(tests.begin() + static_cast<std::ptrdiff_t>(first),
-                   tests.end(),
-                   options.baseline->random_patterns.begin() +
-                       static_cast<std::ptrdiff_t>(at));
+    const bool batch_cached = use_overlay && drawn != nullptr;
     const std::uint64_t useful =
         batch_cached
             ? drop_with_baseline_batch(true, tests, first,
@@ -362,11 +367,12 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
   std::optional<SatAtpg> sat;
   RelevantRegion region(nl, view);
   ProofMemo& proofs = arena.proof_memo();
-  // One justify/detect call over the region just built. A memo hit is
-  // final: a U outcome draws no rng and leaves no engine state behind,
-  // so skipping the search changes no status and no test. Only U
-  // outcomes are stored, and each is a complete proof: a search cut
-  // short by the budget or the cancel token ends Aborted.
+  // One justify/detect call over the region just keyed; PODEM and SAT
+  // build its backward closure only on a miss. A memo hit is final: a U
+  // outcome draws no rng and leaves no engine state behind, so skipping
+  // the search changes no status and no test. Only U outcomes are
+  // stored, and each is a complete proof: a search cut short by the
+  // budget or the cancel token ends Aborted.
   const auto solve = [&](std::vector<V3>* test) {
     if (proofs.contains(region.signature())) {
       ++result.counters.proof_memo_hits;

@@ -130,8 +130,8 @@ struct AtpgResult {
 /// Full classification of a DFM fault universe: optional warm-start
 /// replay of a seed test set, random-pattern fault simulation with
 /// dropping, then phase 2 for the remainder. Each phase-2 justify/detect
-/// call builds its RelevantRegion once, returns Undetectable at once if
-/// the arena's proof memo holds the region's signature, else runs PODEM
+/// call keys its RelevantRegion by function labels, returns Undetectable
+/// at once if the arena's proof memo holds the key, else runs PODEM
 /// with a kPodemHandoff budget and complete SAT-based ATPG on PODEM's
 /// abort (detect / prove-undetectable / abort past `backtrack_limit`
 /// conflicts), with optional test-set generation and reverse-order

@@ -158,9 +158,9 @@ SimBaseline build_baseline_over(std::shared_ptr<const DenseView> dv,
   }
   // Phase-1 random batches: draw exactly as the engine does (64 pattern
   // pairs per engine batch, frame0 then frame1) from a fresh rng at the
-  // given seed — the draws are rng-sequential, so drawing every batch up
-  // front leaves the identical stream — then simulate them one engine
-  // batch at a time.
+  // given seed, keeping the rng state after each batch — the draws are
+  // rng-sequential, so drawing every batch up front leaves the identical
+  // stream — then simulate them one engine batch at a time.
   out.random_seed = random_seed;
   out.random_batch_count = random_batches;
   Rng rng(random_seed);
@@ -168,6 +168,7 @@ SimBaseline build_baseline_over(std::shared_ptr<const DenseView> dv,
   for (std::size_t i = 0; i < total; ++i) {
     out.random_patterns.push_back({random_sim_frame(out.frame_width, rng),
                                    random_sim_frame(out.frame_width, rng)});
+    if ((i + 1) % kLanes == 0) out.random_rng_after.push_back(rng);
   }
   for (std::size_t first = 0; first < total; first += kLanes) {
     const int lanes =

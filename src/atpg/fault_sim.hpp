@@ -62,17 +62,18 @@ struct SimBaseline {
 
   /// The engine's phase-1 random batches, pre-simulated as well: the
   /// patterns are a pure function of (rng seed, frame width) — phase 0
-  /// never draws from the engine rng — so every probe whose diff keeps
-  /// the sources intact (a precondition of CowPlan validity anyway)
-  /// regenerates exactly these patterns and can overlay these frames.
-  /// The engine double-checks by comparing the regenerated patterns to
-  /// `random_patterns` before trusting a batch. `random_batch_count` is
-  /// the configured number of 64-pattern engine batches, one GoodFrames
-  /// each.
+  /// never draws from the engine rng — so a run at the same seed, frame
+  /// width and batch count would draw exactly these patterns. It copies
+  /// them instead, restores the rng from `random_rng_after` (the state
+  /// after drawing each batch), and, when its diff keeps the sources
+  /// intact (CowPlan validity), overlays these frames.
+  /// `random_batch_count` is the configured number of 64-pattern engine
+  /// batches, one GoodFrames and one rng state each.
   std::uint64_t random_seed = 0;
   int random_batch_count = 0;
   std::vector<TestPattern> random_patterns;  ///< 64 per engine batch
   std::vector<GoodFrames> random_batches;
+  std::vector<Rng> random_rng_after;
 
   [[nodiscard]] bool valid() const {
     return view != nullptr && num_patterns > 0;
@@ -87,6 +88,7 @@ struct SimBaseline {
     random_batch_count = 0;
     random_patterns.clear();
     random_batches.clear();
+    random_rng_after.clear();
   }
 };
 
@@ -401,10 +403,10 @@ class FaultSimArena {
     return representatives_;
   }
 
-  /// Phase 2's proof memo: signatures of the regions proven
-  /// undetectable by runs on this arena. Unlike representatives(), runs
-  /// never clear it (a signature covers everything its proof depends on,
-  /// so it stays valid across designs); ProofMemo's entry cap bounds it.
+  /// Phase 2's proof memo: keys of the calls proven undetectable by runs
+  /// on this arena. Unlike representatives(), runs never clear it (a key
+  /// fixes the function its proof decides, so it stays valid across
+  /// designs); ProofMemo's entry cap bounds it.
   /// Each arena owns one, so concurrent ladder lanes share nothing.
   [[nodiscard]] ProofMemo& proof_memo() { return proof_memo_; }
 

@@ -17,14 +17,20 @@ std::uint64_t fmix(std::uint64_t x) {
   return x;
 }
 
-/// Record tags, so a literal can never hash like a net record.
-enum : std::uint64_t { kCallRecord = 1, kLiteralRecord = 2, kNetRecord = 3 };
-/// Net classes in a net record.
-enum : std::uint64_t { kSource = 0, kUndriven = 1, kDriven = 2 };
+/// Record tags, so no two kinds of record or label can hash alike.
+enum : std::uint64_t {
+  kCallRecord = 1,
+  kLiteralRecord = 2,
+  kObservedRecord = 3,
+  kSourceLabel = 4,
+  kConstantLabel = 5,
+  kGateLabel = 6,
+};
 
 /// One record hashed in two independent lanes: word-wise multiplicative
 /// folds with different seeds and multipliers, each finished by fmix.
-/// Records are summed into the signature, so their order cannot matter.
+/// A finished record is a label, or is summed into a key, so the order
+/// of a key's records cannot matter.
 class Record {
  public:
   explicit Record(std::uint64_t tag)
@@ -35,9 +41,16 @@ class Record {
     b_ = (b_ + w) * kMulB;
     return *this;
   }
+  Record& add(const RegionSignature& label) {
+    return add(label.lo).add(label.hi);
+  }
+  [[nodiscard]] RegionSignature finish() const {
+    return {fmix(a_), fmix(b_ ^ 0x3c6ef372fe94f82bull)};
+  }
   void into(RegionSignature& sig) const {
-    sig.lo += fmix(a_);
-    sig.hi += fmix(b_ ^ 0x3c6ef372fe94f82bull);
+    const RegionSignature r = finish();
+    sig.lo += r.lo;
+    sig.hi += r.hi;
   }
 
  private:
@@ -45,6 +58,22 @@ class Record {
   static constexpr std::uint64_t kMulB = 0x9e3779b97f4a7c15ull;
   std::uint64_t a_, b_;
 };
+
+/// The label of a constant net; the constant 0 is what an undriven net
+/// reads.
+RegionSignature constant_label(bool value) {
+  return Record(kConstantLabel).add(value ? 1 : 0).finish();
+}
+
+/// The label of output `pin` of `gate` whose fanins carry `fanin_label`.
+template <typename FaninLabel>
+RegionSignature gate_label(const Netlist::Gate& gate, std::size_t pin,
+                           const FaninLabel& fanin_label) {
+  Record rec(kGateLabel);
+  rec.add(gate.cell.value()).add(pin);
+  for (NetId in : gate.fanin) rec.add(fanin_label(in));
+  return rec.finish();
+}
 
 }  // namespace
 
@@ -56,10 +85,22 @@ RelevantRegion::RelevantRegion(const Netlist& nl, const CombView& view)
   }
   observe_.assign(view.net_slots, 0);
   for (NetId obs : view.observe) observe_[obs.value()] = 1;
+  label_.assign(view.net_slots, constant_label(false));
+  for (NetId src : view.sources) {
+    label_[src.value()] = Record(kSourceLabel).add(src.value()).finish();
+  }
+  const auto good_label = [&](NetId n) { return label_[n.value()]; };
+  for (GateId g : view.order) {
+    const auto& gate = nl.gate(g);
+    for (std::size_t k = 0; k < gate.outputs.size(); ++k) {
+      label_[gate.outputs[k].value()] = gate_label(gate, k, good_label);
+    }
+  }
+  faulty_label_.resize(view.net_slots);
   cone_net_.assign(view.net_slots, 0);
   cone_gate_.assign(nl.gate_capacity(), 0);
-  relevant_net_.assign(view.net_slots, 0);
-  relevant_gate_.assign(nl.gate_capacity(), 0);
+  closure_.net_mark.assign(view.net_slots, 0);
+  closure_.gate_mark.assign(nl.gate_capacity(), 0);
 }
 
 bool RelevantRegion::is_source(NetId n) const {
@@ -70,20 +111,23 @@ bool RelevantRegion::is_source(NetId n) const {
 
 void RelevantRegion::begin() {
   ++cone_epoch_;
-  ++relevant_epoch_;
   cone_gates_.clear();
-  nets_.clear();
-  gates_.clear();
   stack_.clear();
+  closure_.built = false;
   sig_ = {};
 }
 
-void RelevantRegion::push(NetId n) {
-  if (n.valid() && relevant_net_[n.value()] != relevant_epoch_) {
-    relevant_net_[n.value()] = relevant_epoch_;
-    nets_.push_back(n);
-    stack_.push_back(n);
+void RelevantRegion::add_literals() {
+  for (const CondLiteral& lit : lits_) {
+    Record(kLiteralRecord)
+        .add(label_[lit.net.value()])
+        .add(lit.value ? 1 : 0)
+        .into(sig_);
   }
+}
+
+void RelevantRegion::finish_key() {
+  if (sig_ == RegionSignature{}) sig_.lo = 1;  // {0, 0} marks empty slots
 }
 
 const RelevantRegion& RelevantRegion::detect(const Excitation& exc) {
@@ -118,19 +162,35 @@ const RelevantRegion& RelevantRegion::detect(const Excitation& exc) {
             [&](GateId a, GateId b) {
               return topo_pos_[a.value()] < topo_pos_[b.value()];
             });
-  for (const CondLiteral& lit : lits_) push(lit.net);
-  push(victim_);
-  for (GateId g : cone_gates_) {
-    const auto& gate = nl_.gate(g);
-    for (NetId out : gate.outputs) push(out);
-    for (NetId in : gate.fanin) push(in);
-  }
   Record(kCallRecord)
       .add(1)
-      .add(victim_.value())
+      .add(label_[victim_.value()])
       .add(faulty_value_ ? 1 : 0)
       .into(sig_);
-  close();
+  add_literals();
+  // Faulty labels in topological order; an observed cone net adds its
+  // (good, faulty) pair, the only place a difference can be seen.
+  const auto observe = [&](NetId n) {
+    if (!is_observed(n)) return;
+    Record(kObservedRecord)
+        .add(label_[n.value()])
+        .add(faulty_label_[n.value()])
+        .into(sig_);
+  };
+  faulty_label_[victim_.value()] = constant_label(faulty_value_);
+  observe(victim_);
+  const auto faulty_label = [&](NetId n) {
+    return in_cone(n) ? faulty_label_[n.value()] : label_[n.value()];
+  };
+  for (GateId g : cone_gates_) {
+    const auto& gate = nl_.gate(g);
+    for (std::size_t k = 0; k < gate.outputs.size(); ++k) {
+      const NetId out = gate.outputs[k];
+      faulty_label_[out.value()] = gate_label(gate, k, faulty_label);
+      observe(out);
+    }
+  }
+  finish_key();
   return *this;
 }
 
@@ -142,48 +202,49 @@ const RelevantRegion& RelevantRegion::justify(
   faulty_value_ = false;
   lits_.assign(lits.begin(), lits.end());
   for (CondLiteral& lit : lits_) lit.frame = 1;
-  for (const CondLiteral& lit : lits_) push(lit.net);
   Record(kCallRecord).add(0).into(sig_);
-  close();
+  add_literals();
+  finish_key();
   return *this;
 }
 
-void RelevantRegion::close() {
-  for (const CondLiteral& lit : lits_) {
-    Record(kLiteralRecord)
-        .add(lit.net.value())
-        .add(lit.value ? 1 : 0)
-        .into(sig_);
+void RelevantRegion::build_closure() const {
+  Closure& c = closure_;
+  c.built = true;
+  ++c.epoch;
+  c.nets.clear();
+  c.gates.clear();
+  c.stack.clear();
+  const auto push = [&c](NetId n) {
+    if (n.valid() && c.net_mark[n.value()] != c.epoch) {
+      c.net_mark[n.value()] = c.epoch;
+      c.nets.push_back(n);
+      c.stack.push_back(n);
+    }
+  };
+  for (const CondLiteral& lit : lits_) push(lit.net);
+  if (detect_) {
+    push(victim_);
+    for (GateId g : cone_gates_) {
+      const auto& gate = nl_.gate(g);
+      for (NetId out : gate.outputs) push(out);
+      for (NetId in : gate.fanin) push(in);
+    }
   }
-  // Backward closure over combinational drivers; sources and undriven
-  // nets terminate it. Each net is hashed as it is popped.
-  while (!stack_.empty()) {
-    const NetId n = stack_.back();
-    stack_.pop_back();
-    Record rec(kNetRecord);
-    rec.add(n.value());
-    if (in_cone(n)) rec.add(is_observed(n) ? 3 : 2);
+  // Backward over combinational drivers; sources and undriven nets
+  // terminate it.
+  while (!c.stack.empty()) {
+    const NetId n = c.stack.back();
+    c.stack.pop_back();
     const auto& net = nl_.net(n);
-    if (is_source(n)) {
-      rec.add(kSource).into(sig_);
-      continue;
-    }
-    if (!net.has_gate_driver()) {
-      rec.add(kUndriven).into(sig_);
-      continue;
-    }
+    if (is_source(n) || !net.has_gate_driver()) continue;
     const GateId g = net.driver_gate;
-    const auto& gate = nl_.gate(g);
-    rec.add(kDriven).add(g.value()).add(gate.cell.value()).add(net.driver_pin);
-    for (NetId in : gate.fanin) rec.add(in.value());
-    rec.into(sig_);
-    if (relevant_gate_[g.value()] != relevant_epoch_) {
-      relevant_gate_[g.value()] = relevant_epoch_;
-      gates_.push_back(g);
+    if (c.gate_mark[g.value()] != c.epoch) {
+      c.gate_mark[g.value()] = c.epoch;
+      c.gates.push_back(g);
     }
-    for (NetId in : gate.fanin) push(in);
+    for (NetId in : nl_.gate(g).fanin) push(in);
   }
-  if (sig_ == RegionSignature{}) sig_.lo = 1;  // {0, 0} marks empty slots
 }
 
 bool ProofMemo::contains(const RegionSignature& s) const {

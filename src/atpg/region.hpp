@@ -9,7 +9,8 @@
 
 namespace dfmres {
 
-/// 128-bit structural signature of a RelevantRegion (see signature()).
+/// 128 bits: the key of one call (RelevantRegion::signature()), and the
+/// function label of one net that keys are built from.
 struct RegionSignature {
   std::uint64_t lo = 0, hi = 0;
 
@@ -17,8 +18,8 @@ struct RegionSignature {
 };
 
 /// The part of the combinational view one phase-2 justify/detect call
-/// can read, built by one walk and shared by every engine the call runs
-/// (PODEM's shallow pass, then SAT on its abort) and by the proof memo.
+/// can read, shared by every engine the call runs (PODEM's shallow pass,
+/// then SAT on its abort) and keyed for the proof memo.
 ///
 /// - The cone: the victim's combinational fanout, gates in topological
 ///   order (detect only).
@@ -28,9 +29,13 @@ struct RegionSignature {
 ///   undriven nets. Every value either engine reads lies in this set.
 /// - The relevant gates: the combinational drivers of relevant nets.
 ///
+/// detect()/justify() build the cone and the key; the backward closure
+/// is built on first use of nets(), gates() or relevant_gate(), so a
+/// call the memo answers never pays for it.
+///
 /// Not thread-safe; one instance serves a whole ATPG run (the per-net
 /// marks are epoch-stamped, so a rebuild costs O(region), not
-/// O(netlist)).
+/// O(netlist)). The constructor labels every net once, O(netlist).
 class RelevantRegion {
  public:
   RelevantRegion(const Netlist& nl, const CombView& view);
@@ -59,11 +64,16 @@ class RelevantRegion {
     return cone_net_[n.value()] == cone_epoch_;
   }
   /// The relevant nets, each once, in walk order.
-  [[nodiscard]] std::span<const NetId> nets() const { return nets_; }
+  [[nodiscard]] std::span<const NetId> nets() const {
+    return closure().nets;
+  }
   /// The relevant nets' combinational drivers, each once.
-  [[nodiscard]] std::span<const GateId> gates() const { return gates_; }
+  [[nodiscard]] std::span<const GateId> gates() const {
+    return closure().gates;
+  }
   [[nodiscard]] bool relevant_gate(GateId g) const {
-    return relevant_gate_[g.value()] == relevant_epoch_;
+    const Closure& c = closure();
+    return c.gate_mark[g.value()] == c.epoch;
   }
 
   /// A PI or flop output: a free input of the call.
@@ -75,28 +85,55 @@ class RelevantRegion {
     return topo_pos_[g.value()];
   }
 
-  /// Everything an undetectability proof over this region depends on,
-  /// hashed: the call kind; the literals (net, value); the victim and its
-  /// faulty value; per relevant net its id, whether it is a source,
-  /// undriven or driven, and for a driven net the driver gate id, cell,
-  /// driver pin and ordered fanin ids; per cone net its observed flag.
-  /// Per-net records are combined by a sum of strong 64-bit mixes in two
-  /// independent lanes, so the walk order cannot matter. Two calls with
-  /// equal signatures pose the same satisfiability problem, which is why
-  /// a proven U can be reused (DESIGN.md §18). Never {0, 0}.
+  /// The call's key, built from function labels only:
+  /// - detect: (label(victim), faulty value), each frame-1 literal as
+  ///   (label, value), and each observed cone net o as (label(o),
+  ///   faulty label(o)). The victim's faulty label is the constant of
+  ///   its faulty value; a cone gate output's is (cell, pin, each
+  ///   fanin's faulty label if the fanin is in the cone, else its
+  ///   label).
+  /// - justify: each literal as (label, value).
+  /// Records are summed, so their order cannot matter. Each term of the
+  /// call (the literals hold, good(victim) != faulty value, some
+  /// observed net differs) is a function of the sources fixed by its
+  /// labels, so equal keys pose the same satisfiability problem whatever
+  /// ids the call touched, which is why a proven U can be reused
+  /// (DESIGN.md §18). Never {0, 0}.
   [[nodiscard]] const RegionSignature& signature() const { return sig_; }
 
   [[nodiscard]] const Netlist& netlist() const { return nl_; }
 
  private:
+  /// The backward closure of the current call (see nets()).
+  struct Closure {
+    bool built = false;
+    std::uint32_t epoch = 0;
+    std::vector<std::uint32_t> net_mark;   // epoch-stamped
+    std::vector<std::uint32_t> gate_mark;  // epoch-stamped
+    std::vector<NetId> nets;
+    std::vector<GateId> gates;
+    std::vector<NetId> stack;
+  };
+
   void begin();
-  void push(NetId n);
-  /// Backward closure of the queued nets, then the signature.
-  void close();
+  void add_literals();
+  void finish_key();
+  /// The closure of the current call, built on first use.
+  const Closure& closure() const {
+    if (!closure_.built) build_closure();
+    return closure_;
+  }
+  void build_closure() const;
 
   const Netlist& nl_;
   std::vector<std::uint32_t> topo_pos_;  // gate slot -> topo position
   std::vector<std::uint8_t> observe_;    // net slot -> observation point
+  // Net slot -> the function the net computes over the sources: a
+  // source is labelled by its id, an undriven net by the constant 0, a
+  // gate output by (cell, output pin, ordered fanin labels). Equal labels
+  // mean equal functions, whatever the nets' ids.
+  std::vector<RegionSignature> label_;
+  std::vector<RegionSignature> faulty_label_;  // valid on cone nets
   bool detect_ = false;
   NetId victim_;
   bool faulty_value_ = false;
@@ -105,18 +142,14 @@ class RelevantRegion {
   std::vector<std::uint32_t> cone_net_;
   std::vector<std::uint32_t> cone_gate_;
   std::uint32_t cone_epoch_ = 0;
-  std::vector<std::uint32_t> relevant_net_;
-  std::vector<std::uint32_t> relevant_gate_;
-  std::uint32_t relevant_epoch_ = 0;
   std::vector<GateId> cone_gates_;
-  std::vector<NetId> nets_;
-  std::vector<GateId> gates_;
   std::vector<NetId> stack_;
   RegionSignature sig_;
+  mutable Closure closure_;
 };
 
-/// Signatures of regions proven undetectable: a flat open-addressing set
-/// of 128-bit keys. It stores U outcomes only (a D or an abort is not a
+/// Keys of calls proven undetectable: a flat open-addressing set of
+/// 128-bit keys. It stores U outcomes only (a D or an abort is not a
 /// fact of the region alone: a test is a model, an abort is a budget).
 /// Bounded by a fixed entry cap: the insert that would pass it clears
 /// the table first. Not thread-safe; each FaultSimArena owns one.

@@ -260,6 +260,10 @@ CampaignJobResult run_job(const CampaignJobSpec& spec,
       flow_options.atpg.num_threads == 0
           ? inner_threads
           : std::min(flow_options.atpg.num_threads, inner_threads);
+  // A flow job never probes, so it skips the probe baseline's rebuild.
+  if (spec.mode == CampaignJobSpec::Mode::Flow) {
+    flow_options.probe_overlays = false;
+  }
   DesignFlow flow(osu018_library(), flow_options);
 
   Expected<FlowState> original = [&]() -> Expected<FlowState> {

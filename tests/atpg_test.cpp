@@ -971,6 +971,12 @@ TEST(FaultKeyTable, ClearDropsEntriesAndKeepsCapacity) {
 
 // ---- RelevantRegion signatures and the proof memo ----
 
+/// Adds and removes `count` inverters on `in`: every gate and net built
+/// afterwards gets an id `count` higher, and the logic is unchanged.
+void shift_ids(Fixture& f, NetId in, int count) {
+  for (int i = 0; i < count; ++i) f.nl.remove_gate(f.add("INVX1", {in}));
+}
+
 /// A small block for the signature tests. Built the same way every
 /// time, so the ids match across variants; each test edits a copy.
 ///   n0 = INV(a); n1 = NAND2(a, b); {yc, ys} = HAX1(n1, c);
@@ -978,16 +984,18 @@ TEST(FaultKeyTable, ClearDropsEntriesAndKeepsCapacity) {
 /// The detect call targets n1 stuck-at-0 with the frame-1 literal
 /// c = 1 (and a frame-0 literal detection must ignore). Its cone is
 /// {HAX1, NOR2}; n0 is a driven side input, yc a dangling cone net.
+/// `shift` renumbers every gate and internal net (see shift_ids).
 struct SigBlock {
   Fixture f;
   NetId a, b, c, n0, n1, yc, ys, y;
   GateId inv, nand, ha, nor;
   Excitation exc;
 
-  explicit SigBlock(bool swap_ha_pins = false) {
+  explicit SigBlock(bool swap_ha_pins = false, int shift = 0) {
     a = f.nl.add_primary_input();
     b = f.nl.add_primary_input();
     c = f.nl.add_primary_input();
+    shift_ids(f, a, shift);
     inv = f.add("INVX1", {a});
     n0 = f.out(inv);
     nand = f.add("NAND2X1", {a, b});
@@ -1011,6 +1019,12 @@ struct SigBlock {
     const CombView view = CombView::build(f.nl);
     RelevantRegion region(f.nl, view);
     return region.detect(exc).signature();
+  }
+  [[nodiscard]] RegionSignature justify() const {
+    const CombView view = CombView::build(f.nl);
+    RelevantRegion region(f.nl, view);
+    const CondLiteral lits[] = {{n1, true, 1}, {ys, false, 1}};
+    return region.justify(lits).signature();
   }
 };
 
@@ -1091,12 +1105,6 @@ TEST(RelevantRegion, SignatureChangesUnderEachSingleMutation) {
          blk.f.nl.add_gate(dff, std::vector<NetId>{blk.yc});
          return blk.detect();
        }},
-      {"combinational sink on a cone net",
-       [] {
-         SigBlock blk;
-         blk.f.add("INVX1", {blk.yc});
-         return blk.detect();
-       }},
       {"driven net turned into a source",
        [&] {
          SigBlock blk;
@@ -1138,6 +1146,26 @@ TEST(RelevantRegion, SignatureIgnoresEditsOutsideTheRegion) {
   // A frame-0 literal is a separate justify call, not part of detect.
   blk.exc.lits[1].value = false;
   EXPECT_EQ(blk.detect(), base);
+  // A combinational sink on a cone net whose output is neither observed
+  // nor read: no difference can be seen there, so it cannot change the
+  // verdict, and the key (which reads observed cone nets only) ignores
+  // it.
+  SigBlock dangling;
+  dangling.f.add("INVX1", {dangling.yc});
+  EXPECT_EQ(dangling.detect(), base);
+}
+
+TEST(RelevantRegion, SignatureIgnoresIdRenumbering) {
+  // The same logic with every gate and internal net renumbered (sources
+  // keep their ids): a candidate's replacement logic reappears under
+  // fresh ids, and the keys must not see them.
+  const SigBlock blk;
+  const SigBlock renumbered(/*swap_ha_pins=*/false, /*shift=*/3);
+  ASSERT_NE(renumbered.n1, blk.n1);
+  ASSERT_NE(renumbered.nor, blk.nor);
+  EXPECT_EQ(renumbered.detect(), blk.detect());
+  EXPECT_EQ(renumbered.justify(), blk.justify());
+  EXPECT_NE(blk.justify(), blk.detect());
 }
 
 TEST(RelevantRegion, JustifySignatureIgnoresLiteralFrameAndOrder) {
@@ -1175,16 +1203,20 @@ TEST(ProofMemo, StoresSignaturesAndClearsAtTheCap) {
 
 /// Four copies of the absorbed term out = a | (a & b): every internal
 /// fault of an AND gate that only ever pulls its output low is masked
-/// by the OR, so phase 2 proves it undetectable.
+/// by the OR, so phase 2 proves it undetectable. `shift` renumbers the
+/// gates and internal nets (see shift_ids).
 struct Absorbed {
   Fixture f;
   UdfmMap udfm{*lib()};
   FaultUniverse universe;
 
-  Absorbed() {
+  explicit Absorbed(int shift = 0) {
+    std::vector<NetId> pis;
+    for (int i = 0; i < 8; ++i) pis.push_back(f.nl.add_primary_input());
+    shift_ids(f, pis[0], shift);
     for (int i = 0; i < 4; ++i) {
-      const NetId a = f.nl.add_primary_input();
-      const NetId b = f.nl.add_primary_input();
+      const NetId a = pis[2 * i];
+      const NetId b = pis[2 * i + 1];
       const GateId and_g = f.add("AND2X2", {a, b});
       f.nl.mark_primary_output(f.out(f.add("OR2X2", {a, f.out(and_g)})));
     }
@@ -1212,6 +1244,32 @@ TEST(ProofMemo, ArenaMemoAnswersRepeatsWithIdenticalResults) {
     EXPECT_EQ(r->status, cold.status);
     EXPECT_EQ(r->tests, cold.tests);
   }
+}
+
+TEST(ProofMemo, RenumberedCandidateHitsTheMemo) {
+  // A renumbered copy of the logic run on the arena that proved the
+  // original: its undetectability proofs come from the memo, and it
+  // ends exactly like a cold run of the copy.
+  Absorbed original;
+  Absorbed renumbered(/*shift=*/3);
+  ASSERT_EQ(renumbered.f.nl.gate_capacity(),
+            original.f.nl.gate_capacity() + 3);
+  AtpgOptions options;
+  options.random_batches = 0;  // every fault reaches phase 2
+  options.num_threads = 1;
+  const AtpgResult cold = run_atpg(renumbered.f.nl, renumbered.universe,
+                                   renumbered.udfm, options);
+  ASSERT_GT(cold.num_undetectable, 0u);
+  ASSERT_EQ(cold.num_aborted, 0u);
+
+  FaultSimArena arena;
+  options.arena = &arena;
+  (void)run_atpg(original.f.nl, original.universe, original.udfm, options);
+  const AtpgResult warm = run_atpg(renumbered.f.nl, renumbered.universe,
+                                   renumbered.udfm, options);
+  EXPECT_GT(warm.counters.proof_memo_hits, cold.counters.proof_memo_hits);
+  EXPECT_EQ(warm.status, cold.status);
+  EXPECT_EQ(warm.tests, cold.tests);
 }
 
 TEST(ProofMemo, ExpiredCancelStoresNothing) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -11,6 +13,7 @@
 #include "src/library/osu018.hpp"
 #include "src/netlist/verilog.hpp"
 #include "src/util/json.hpp"
+#include "src/util/trace.hpp"
 
 namespace dfmres {
 namespace {
@@ -204,6 +207,51 @@ TEST(Campaign, SkipsEverythingWhenPreCancelled) {
     EXPECT_EQ(job.status.code(), StatusCode::kCancelled);
     EXPECT_FALSE(job.final_state.has_value());
   }
+}
+
+/// Runs `body` with tracing on; returns how many `fsim.rebase` spans
+/// (probe-baseline rebuilds) it emitted.
+template <typename Body>
+std::size_t count_rebases(const Body& body) {
+  Tracer::instance().reset();
+  Tracer::instance().enable();
+  body();
+  Tracer::instance().disable();
+  std::size_t rebases = 0;
+  for (const TraceEvent& e : Tracer::instance().snapshot()) {
+    rebases += std::strcmp(e.name, "fsim.rebase") == 0;
+  }
+  Tracer::instance().reset();
+  return rebases;
+}
+
+TEST(Campaign, FlowJobBuildsNoProbeBaseline) {
+  // A flow job never probes, so it skips the probe baseline a standalone
+  // DesignFlow rebuilds on commit, and ends exactly like that flow.
+  CampaignJobSpec job = resyn_job("tlu", "sparc_tlu", 0);
+  job.mode = Mode::Flow;
+  CampaignManifest manifest;
+  manifest.jobs.push_back(job);
+  std::optional<Expected<CampaignResult>> result;
+  EXPECT_EQ(count_rebases([&] {
+              result.emplace(run_campaign(manifest, CampaignOptions{}));
+            }),
+            0u);
+  ASSERT_TRUE(*result) << result->status().to_string();
+  const CampaignJobResult& ran = (*result)->jobs[0];
+  ASSERT_TRUE(ran.ok()) << ran.status.to_string();
+  const FlowState& got = *ran.final_state;
+
+  DesignFlow flow(osu018_library(), job.flow);
+  std::optional<FlowState> want;
+  EXPECT_GT(count_rebases([&] {
+              want = flow.run_initial(build_benchmark("sparc_tlu").value())
+                         .value();
+            }),
+            0u);
+  EXPECT_EQ(got.atpg.status, want->atpg.status);
+  EXPECT_EQ(got.atpg.tests, want->atpg.tests);
+  EXPECT_EQ(got.smax(), want->smax());
 }
 
 /// One failing job (unknown design) must not disturb its neighbors, and

@@ -14,6 +14,7 @@
 #include "src/circuits/builder.hpp"
 #include "src/core/flow.hpp"
 #include "src/core/resynthesis.hpp"
+#include "src/dfm/checker.hpp"
 #include "src/library/osu018.hpp"
 #include "src/netlist/extract.hpp"
 #include "src/synth/mapper.hpp"
@@ -123,6 +124,41 @@ TEST(Overlay, ProbeMatchesFullLoadAndSelfVerifies) {
   EXPECT_LT(c_on.full_loads, c_off.full_loads);
   EXPECT_LT(c_on.frame_bytes_materialized, c_off.frame_bytes_materialized);
   EXPECT_EQ(c_on.patterns_simulated, c_off.patterns_simulated);
+}
+
+TEST(Overlay, PhaseOneCopiesTheBaselineDraw) {
+  // A run at the baseline's seed, frame width and batch count copies its
+  // phase-1 patterns and rng state from the baseline instead of drawing
+  // them, and must end exactly like a run that draws them (statuses and
+  // the tests, whose don't-cares the restored rng fills). With the seed
+  // replay, verify mode re-checks every overlay batch against a full
+  // load; without it and with one random batch, phase 2 detects faults
+  // and fills their tests from the restored rng.
+  DesignFlow flow(osu018_library(), flow_options(true));
+  const FlowState s = flow.run_initial(small_block()).value();
+  const Netlist edited = remap_one_gate(s.netlist);
+  const FaultUniverse universe = extract_internal_faults(edited, flow.udfm());
+  for (const bool replay : {true, false}) {
+    AtpgOptions options = flow_options(true, /*verify=*/true).atpg;
+    if (replay) {
+      options.seed_tests = &s.atpg.tests;
+    } else {
+      options.random_batches = 1;
+    }
+    const AtpgResult drawn = run_atpg(edited, universe, flow.udfm(), options);
+    ASSERT_FALSE(drawn.tests.empty());
+    const SimBaseline same = build_sim_baseline(
+        s.netlist, s.atpg.tests, options.seed, options.random_batches);
+    const SimBaseline other_seed = build_sim_baseline(
+        s.netlist, s.atpg.tests, options.seed + 1, options.random_batches);
+    for (const SimBaseline* baseline : {&same, &other_seed}) {
+      options.baseline = baseline;
+      const AtpgResult r = run_atpg(edited, universe, flow.udfm(), options);
+      EXPECT_EQ(r.status, drawn.status) << replay;
+      EXPECT_EQ(r.tests, drawn.tests) << replay;
+      EXPECT_EQ(r.counters.overlay_verify_mismatches, 0u);
+    }
+  }
 }
 
 TEST(Overlay, DiscardedProbeLeavesCommittedStateUntouched) {

@@ -256,20 +256,29 @@ TEST(WarmStart, ArenaReuseAcrossDesignsIsTransparent) {
 TEST(WarmStart, SharedProofMemoIsTransparent) {
   // The same differential for phase 2's proof memo, which lives in the
   // arena and outlives runs: re-analyses of the original, a one-gate
-  // edit and the original again on one shared arena answer repeated
-  // undetectability proofs from the memo, and must return exactly what
-  // fresh arenas (a memo per run) return.
+  // edit, the same edit with its new gates under different ids, and the
+  // original again on one shared arena answer repeated undetectability
+  // proofs from the memo, and must return exactly what fresh arenas (a
+  // memo per run) return.
   // sparc_tlu: block_a's undetectable faults are all unexcitable, so
   // they never reach phase 2.
   DesignFlow flow(osu018_library(), flow_options(true, 1));
   const FlowState s =
       flow.run_initial(build_benchmark("sparc_tlu").value()).value();
   const Netlist edited = remap_one_gate(s.netlist);
+  // A gate added and removed first: the edit's new gates and nets come
+  // out one id higher.
+  Netlist shifted = s.netlist;
+  const NetId pi[] = {shifted.primary_inputs().front()};
+  shifted.remove_gate(
+      shifted.add_gate(osu018_library()->require("INVX1"), pi));
+  const Netlist renumbered = remap_one_gate(shifted);
+  ASSERT_EQ(renumbered.gate_capacity(), edited.gate_capacity() + 1);
   flow.clear_cache();  // no cached verdicts: every fault is re-classified
 
   FaultSimArena shared;
   std::uint64_t shared_hits = 0, fresh_hits = 0;
-  for (const Netlist* nl : {&s.netlist, &edited, &s.netlist}) {
+  for (const Netlist* nl : {&s.netlist, &edited, &renumbered, &s.netlist}) {
     ProbeSession on_shared = flow.probe(&shared);
     ProbeSession on_fresh = flow.probe();
     const auto x = on_shared.reanalyze(*nl, s.placement, true);

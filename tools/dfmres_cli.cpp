@@ -507,7 +507,8 @@ int cmd_flow(int argc, char** argv) {
     }
   }
   if (obs.failed) return 2;
-  const FlowOptions& options = job.flow;
+  FlowOptions options = job.flow;
+  options.probe_overlays = false;  // a flow never probes
   obs.arm();
   const auto t0 = std::chrono::steady_clock::now();
   bool is_mapped = false;
