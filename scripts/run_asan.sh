@@ -4,20 +4,22 @@
 # address,undefined (see CMakeLists.txt). Runs the suites that exercise
 # the simulator-arena rebinding, the cache overlays and the speculative
 # ladder (warm_start_test), the core flow (core_test), the engine
-# itself and the flat fault-key table behind the status cache
-# (atpg_test; FaultKeyTable.* drives linear-probe wraparound, slot
-# packing and rehash growth), the SAT stage's solver and miter
+# itself and the id-indexed verdict store behind the status cache
+# (atpg_test; VerdictStore.* drives ids past the end, cell-aware block
+# regrowth and overlay folding), the SAT stage's solver and miter
 # (sat_test: clause arena garbage collection and watch-list reuse across
 # resets), and the copy-on-write probe overlays
 # (overlay_test — baseline frame aliasing and the per-batch dirty-slot
 # replay are exactly the pointer gymnastics ASan is for), the flat
 # DFM extractor (dfm_test), and the switch-level simulator's reused CSR
 # and reach buffers over both libraries' UDFM extraction
-# (switchlevel_test). Any report aborts with a non-zero exit.
+# (switchlevel_test). Any report, or a --gtest_filter that selects no
+# test, aborts with a non-zero exit.
 # Usage: scripts/run_asan.sh [build-dir]
 set -eu
 
 cd "$(dirname "$0")/.."
+. scripts/gtest_filter.sh
 BUILD_DIR="${1:-build-asan}"
 
 cmake -B "$BUILD_DIR" -S . -DDFMRES_SANITIZE=address \
@@ -34,18 +36,18 @@ ASAN_OPTIONS="$SAN_ENV" UBSAN_OPTIONS="$SAN_ENV" \
   "$BUILD_DIR/tests/core_test"
 ASAN_OPTIONS="$SAN_ENV" UBSAN_OPTIONS="$SAN_ENV" \
   "$BUILD_DIR/tests/switchlevel_test"
-# Includes the FaultKeyTable.* differential and growth tests and the
+# Includes the VerdictStore.* differential and overlay tests and the
 # RelevantRegion.* / ProofMemo.* phase-2 region and memo tests.
 ASAN_OPTIONS="$SAN_ENV" UBSAN_OPTIONS="$SAN_ENV" \
   "$BUILD_DIR/tests/atpg_test"
 # The tv80 differential repeats the sparc_tlu one on a 3x larger block.
 ASAN_OPTIONS="$SAN_ENV" UBSAN_OPTIONS="$SAN_ENV" \
-  "$BUILD_DIR/tests/sat_test" --gtest_filter='-SatAtpg.AgreesWithPodemOnTv80'
+  run_filtered "$BUILD_DIR/tests/sat_test" '-SatAtpg.AgreesWithPodemOnTv80'
 # The tv80 end-to-end case reruns two full resynthesis searches — far
 # too slow under instrumentation; the small-block cases cover the same
 # overlay load/discard/rebase code paths.
 ASAN_OPTIONS="$SAN_ENV" UBSAN_OPTIONS="$SAN_ENV" \
-  "$BUILD_DIR/tests/overlay_test" --gtest_filter='-OverlayHeavy.*'
+  run_filtered "$BUILD_DIR/tests/overlay_test" '-OverlayHeavy.*'
 # Fault-simulation kernel: the oracle suite drives the load / overlay /
 # detect paths and the observability memo, including the batch-tail
 # lane masks.
@@ -60,6 +62,6 @@ ASAN_OPTIONS="$SAN_ENV" UBSAN_OPTIONS="$SAN_ENV" \
 # string/buffer handling ASan watches. The fork-heavy resume case runs
 # in the regular build (forking an ASan child doubles the shadow).
 ASAN_OPTIONS="$SAN_ENV" UBSAN_OPTIONS="$SAN_ENV" \
-  "$BUILD_DIR/tests/lease_test" --gtest_filter='-CampaignWorkerHeavy.*'
+  run_filtered "$BUILD_DIR/tests/lease_test" '-CampaignWorkerHeavy.*'
 
 echo "ASan/UBSan: no reports."

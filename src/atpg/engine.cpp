@@ -1,9 +1,10 @@
 #include "src/atpg/engine.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
-#include <limits>
 #include <memory>
+#include <numeric>
 #include <optional>
 
 #include "src/atpg/sat_atpg.hpp"
@@ -65,13 +66,13 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
   const std::size_t num_sources = view.sources.size();
   Rng rng(options.seed);
 
-  // All simulators (and the dedupe table below) come from the arena; a
+  // All simulators (and the duplicate marks below) come from the arena; a
   // DesignFlow passes a persistent arena so the frame/scratch buffers
   // survive between calls instead of being reallocated per candidate.
   FaultSimArena local_arena;
   FaultSimArena& arena = options.arena ? *options.arena : local_arena;
 
-  // run_atpg reads and writes one table, so a lookup probes it once; an
+  // run_atpg reads and writes one store, so a lookup reads it once; an
   // overlay run reads its private delta first, then the shared base.
   const auto cached_lookup = [&](const Fault::Key& k) {
     if (updates != nullptr && updates != base) {
@@ -91,28 +92,44 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
   };
 
   // Pre-build excitations; resolve trivially undetectable and cached
-  // faults immediately.
-  std::vector<std::vector<Excitation>> excitations(universe.size());
-  std::vector<std::uint32_t> targets;  // indices still needing work
-  // Distinct physical violations can induce the same logic fault (e.g.
-  // several weak vias on one net); classify one representative per key
-  // and mirror the verdict onto the duplicates at the end.
-  FaultKeyTable<std::uint32_t>& representative = arena.representatives();
-  representative.clear();
-  std::vector<std::uint32_t> mirror_of(universe.size(),
-                                       std::numeric_limits<std::uint32_t>::max());
-  // Each representative's verdict as the cache read before this run; the
-  // bookkeeping below stores only verdicts that differ from it.
-  std::vector<FaultStatus> prior(universe.size(), FaultStatus::Unknown);
+  // faults immediately. Distinct physical violations can induce the same
+  // logic fault (e.g. several weak vias on one net); classify one
+  // representative per key and mirror the verdict onto the duplicates at
+  // the end.
+  RepresentativeMarks& marks = arena.representatives();
+  marks.begin_run(universe, nl.net_capacity(), nl.gate_capacity());
+  // The owner cell's UDFM fault count, which sizes a gate's cell-aware
+  // slots. A cell-aware key's victim is the owner's first output, so the
+  // slots leave it out.
+  const auto cell_faults = [&](const Fault::Key& k) {
+    const auto& owner = nl.gate(GateId{k.owner});
+    assert(owner.outputs.front().value() == k.victim);
+    return static_cast<std::uint32_t>(udfm.of(owner.cell).num_faults());
+  };
+  // The faults phases 0-3 classify, ascending by fault index; the work
+  // lists below hold positions in it.
+  struct Target {
+    std::uint32_t fault;
+    FaultStatus prior;  ///< the cache's verdict before this run
+    std::vector<Excitation> excitations;
+  };
+  std::vector<Target> work;
+  const auto status_of = [&](std::uint32_t t) -> FaultStatus& {
+    return result.status[work[t].fault];
+  };
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> duplicates;  // (i, rep)
+  // Representatives found unexcitable; the cache never read them as
+  // Undetectable (that is a memo hit), so each verdict is a change.
+  std::vector<std::uint32_t> unexcitable;
   for (std::uint32_t i = 0; i < universe.size(); ++i) {
     const Fault& f = universe.faults[i];
     const Fault::Key key = f.key();
-    const auto [rep, inserted] = representative.try_emplace(key, i);
-    if (!inserted) {
-      mirror_of[i] = *rep;
+    const std::uint32_t rep = marks.mark(key, i, cell_faults);
+    if (rep != i) {
+      duplicates.emplace_back(i, rep);
       continue;
     }
-    const FaultStatus cached = prior[i] = cached_lookup(key);
+    const FaultStatus cached = cached_lookup(key);
     // A cached Aborted proves nothing, so it is retargeted like Unknown.
     if (cached == FaultStatus::Undetectable ||
         (cached == FaultStatus::Detected && !options.generate_tests)) {
@@ -120,14 +137,21 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
       ++result.counters.memo_hits;
       continue;
     }
-    excitations[i] = build_excitations(f, nl, udfm);
-    if (excitations[i].empty()) {
+    std::vector<Excitation> excitations = build_excitations(f, nl, udfm);
+    if (excitations.empty()) {
       // Not excitable even at the cell boundary: undetectable by
       // construction (counted in U like any other fault).
       result.status[i] = FaultStatus::Undetectable;
+      unexcitable.push_back(i);
       continue;
     }
-    targets.push_back(i);
+    work.push_back({i, cached, std::move(excitations)});
+  }
+  std::vector<std::uint32_t> targets(work.size());  // positions still open
+  std::iota(targets.begin(), targets.end(), 0);
+  if (run_span.active()) {
+    run_span.arg("targets", static_cast<std::uint64_t>(work.size()));
+    run_span.arg("duplicates", static_cast<std::uint64_t>(duplicates.size()));
   }
 
   std::vector<TestPattern> tests;
@@ -167,7 +191,7 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
   // One load carries up to 64 pattern lanes.
   constexpr std::size_t kBatch = FaultSimulator::lane_capacity();
 
-  // masks[k] = detect_mask(excitations[items[k]]) for the currently
+  // masks[k] = detect_mask of target items[k] for the currently
   // loaded batch, computed across the pool.
   const auto sweep_masks = [&](std::span<const std::uint32_t> items,
                                std::vector<std::uint64_t>& masks) {
@@ -181,7 +205,7 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
     const auto run_range = [&](int lane, std::size_t begin, std::size_t end) {
       FaultSimulator& sim = lane == 0 ? simulator : *worker_sims[lane - 1];
       for (std::size_t k = begin; k < end; ++k) {
-        masks[k] = sim.detect_mask(excitations[items[k]]);
+        masks[k] = sim.detect_mask(work[items[k]].excitations);
       }
     };
     // Below this, the per-worker good-frame copies cost more than the
@@ -210,7 +234,7 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
     for (std::size_t k = 0; k < targets.size(); ++k) {
       const std::uint64_t mask = sweep_scratch[k];
       if (mask != 0) {
-        result.status[targets[k]] = FaultStatus::Detected;
+        status_of(targets[k]) = FaultStatus::Detected;
         useful |= mask & (~mask + 1);
       } else {
         still.push_back(targets[k]);
@@ -296,12 +320,12 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
   if (options.cone_untouched != nullptr && !targets.empty()) {
     std::vector<std::uint32_t> still;
     still.reserve(targets.size());
-    for (const std::uint32_t i : targets) {
-      if (untouched(i) && prior[i] == FaultStatus::Detected) {
-        result.status[i] = FaultStatus::Detected;
+    for (const std::uint32_t t : targets) {
+      if (untouched(work[t].fault) && work[t].prior == FaultStatus::Detected) {
+        status_of(t) = FaultStatus::Detected;
         ++result.counters.podem_targets_skipped;
       } else {
-        still.push_back(i);
+        still.push_back(t);
       }
     }
     targets = std::move(still);
@@ -394,12 +418,12 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
   targets.clear();
   for (std::size_t qi = 0; qi < queue.size(); ++qi) {
     if (cancel_expired(options.cancel)) break;
-    const std::uint32_t i = queue[qi];
-    if (result.status[i] != FaultStatus::Unknown) continue;
+    const std::uint32_t t = queue[qi];
+    if (status_of(t) != FaultStatus::Unknown) continue;
 
     bool any_aborted = false;
     bool detected = false;
-    for (const Excitation& exc : excitations[i]) {
+    for (const Excitation& exc : work[t].excitations) {
       // Frame-0 cube first: an unjustifiable initialization kills the
       // whole excitation.
       std::vector<CondLiteral> frame0;
@@ -426,7 +450,7 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
       if (r == Podem::Outcome::Undetectable) continue;
 
       detected = true;
-      result.status[i] = FaultStatus::Detected;
+      status_of(t) = FaultStatus::Detected;
       if (options.generate_tests) {
         TestPattern t;
         t.frame0 = assign0.empty() ? random_frame(num_sources, rng)
@@ -436,7 +460,7 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
         // Drop other queued faults with the fresh test.
         targets.clear();
         for (std::size_t qj = qi + 1; qj < queue.size(); ++qj) {
-          if (result.status[queue[qj]] == FaultStatus::Unknown) {
+          if (status_of(queue[qj]) == FaultStatus::Unknown) {
             targets.push_back(queue[qj]);
           }
         }
@@ -444,14 +468,14 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
         sweep_masks(targets, sweep_scratch);
         for (std::size_t k = 0; k < targets.size(); ++k) {
           if (sweep_scratch[k] != 0) {
-            result.status[targets[k]] = FaultStatus::Detected;
+            status_of(targets[k]) = FaultStatus::Detected;
           }
         }
       }
       break;
     }
     if (!detected) {
-      result.status[i] =
+      status_of(t) =
           any_aborted ? FaultStatus::Aborted : FaultStatus::Undetectable;
     }
   }
@@ -465,11 +489,8 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
   phase_span.emplace("atpg.phase3.compact", "atpg");
   if (options.generate_tests && !tests.empty() && !result.cancelled) {
     std::vector<std::uint32_t> uncovered;
-    for (std::uint32_t i = 0; i < universe.size(); ++i) {
-      if (result.status[i] == FaultStatus::Detected &&
-          !excitations[i].empty()) {
-        uncovered.push_back(i);
-      }
+    for (std::uint32_t t = 0; t < work.size(); ++t) {
+      if (status_of(t) == FaultStatus::Detected) uncovered.push_back(t);
     }
     std::vector<TestPattern> compacted;
     std::vector<TestPattern> reversed(tests.rbegin(), tests.rend());
@@ -544,13 +565,9 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
   }
 
   // ---- bookkeeping ----
-  for (std::uint32_t i = 0; i < universe.size(); ++i) {
-    if (mirror_of[i] != std::numeric_limits<std::uint32_t>::max()) {
-      result.status[i] = result.status[mirror_of[i]];
-    }
-  }
-  for (std::uint32_t i = 0; i < universe.size(); ++i) {
-    switch (result.status[i]) {
+  for (const auto& [i, rep] : duplicates) result.status[i] = result.status[rep];
+  for (const FaultStatus s : result.status) {
+    switch (s) {
       case FaultStatus::Detected: ++result.num_detected; break;
       case FaultStatus::Undetectable: ++result.num_undetectable; break;
       case FaultStatus::Aborted: ++result.num_aborted; break;
@@ -560,15 +577,20 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
   // A cancelled run stores nothing: its Unknowns (and any Aborted
   // produced by the cut-short searches) must not clobber cached verdicts
   // from complete runs. Duplicates share their representative's key, and
-  // a verdict equal to the one read before the run is already what
-  // `updates` over `base` returns, so only changed verdicts are written.
+  // a verdict equal to the one read before the run (every memo hit) is
+  // already what `updates` over `base` returns, so only changed verdicts
+  // are written.
   if (updates && !result.cancelled) {
-    for (std::uint32_t i = 0; i < universe.size(); ++i) {
-      if (mirror_of[i] == std::numeric_limits<std::uint32_t>::max() &&
-          result.status[i] != prior[i]) {
-        updates->store(universe.faults[i].key(), result.status[i]);
-        ++result.counters.verdict_stores;
-      }
+    const auto store = [&](std::uint32_t i) {
+      const Fault::Key key = universe.faults[i].key();
+      updates->store(key, result.status[i],
+                     key.kind == verdict_index::kCellAware ? cell_faults(key)
+                                                           : 0);
+      ++result.counters.verdict_stores;
+    };
+    for (const std::uint32_t i : unexcitable) store(i);
+    for (const Target& t : work) {
+      if (result.status[t.fault] != t.prior) store(t.fault);
     }
   }
   return result;

@@ -5,38 +5,13 @@
 
 #include "src/atpg/fault_sim.hpp"
 #include "src/atpg/podem.hpp"
+#include "src/atpg/verdict_store.hpp"
 #include "src/faults/fault.hpp"
-#include "src/faults/fault_key_table.hpp"
 #include "src/faults/udfm_map.hpp"
 #include "src/util/cancel.hpp"
 #include "src/util/stats.hpp"
 
 namespace dfmres {
-
-enum class FaultStatus : std::uint8_t {
-  Unknown = 0,
-  Detected,
-  Undetectable,
-  Aborted,  ///< search budget exhausted; never counted as undetectable
-};
-
-/// Detectability memo across resynthesis iterations. Valid because the
-/// procedure's rewrites are function-preserving and net/gate ids are
-/// never reused: a fault outside the rewritten region keeps its
-/// excitation, propagation, and therefore its status (see DESIGN.md).
-/// An absent key reads as Unknown.
-struct FaultStatusCache {
-  FaultKeyTable<FaultStatus> table;
-
-  [[nodiscard]] FaultStatus lookup(const Fault::Key& k) const {
-    const FaultStatus* s = table.find(k);
-    return s == nullptr ? FaultStatus::Unknown : *s;
-  }
-  void store(const Fault::Key& k, FaultStatus s) {
-    table.insert_or_assign(k, s);
-  }
-};
-static_assert(FaultKeyTable<FaultStatus>::kSlotBytes == 16);
 
 /// Backtracks PODEM may spend on one justify/detect before the call is
 /// handed to the SAT stage. A fixed first-pass budget, not an option:
@@ -146,7 +121,7 @@ struct AtpgResult {
 /// Split-cache variant for speculative evaluations running concurrently
 /// over a shared memo: lookups consult `updates` first and fall back to
 /// the read-only `base`; stores go to `updates` only. Several callers
-/// may share one `base` (concurrent reads of an unmodified table are
+/// may share one `base` (concurrent reads of an unmodified store are
 /// safe) while each owns a private `updates` overlay; the caller
 /// decides which overlays to fold back into the base.
 ///
@@ -154,7 +129,7 @@ struct AtpgResult {
 /// what `updates` over `base` read before the run, so the overlay holds
 /// O(edit) entries. Folding it into a base is therefore exact only onto
 /// the very base it was computed against (unchanged in between). With
-/// `base == updates` (run_atpg) every lookup probes the table once.
+/// `base == updates` (run_atpg) every lookup reads the store once.
 [[nodiscard]] AtpgResult run_atpg_overlay(const Netlist& nl,
                                           const FaultUniverse& universe,
                                           const UdfmMap& udfm,

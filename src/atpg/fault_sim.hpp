@@ -12,7 +12,7 @@
 
 #include "src/atpg/excitation.hpp"
 #include "src/atpg/region.hpp"
-#include "src/faults/fault_key_table.hpp"
+#include "src/atpg/verdict_store.hpp"
 #include "src/netlist/dense_view.hpp"
 #include "src/netlist/netlist.hpp"
 #include "src/util/cancel.hpp"
@@ -396,15 +396,16 @@ class FaultSimArena {
 
   [[nodiscard]] std::size_t size() const { return slots_.size(); }
 
-  /// The engine's per-run duplicate-key table (fault key -> index of the
-  /// representative fault), kept here so its slot array is reused across
-  /// runs instead of reallocated per candidate. Cleared by each run.
-  [[nodiscard]] FaultKeyTable<std::uint32_t>& representatives() {
+  /// The engine's per-run duplicate check (fault key -> index of the
+  /// representative fault), kept here so its id-indexed arrays are
+  /// reused across runs instead of reallocated per candidate. Each run
+  /// starts a new epoch of it.
+  [[nodiscard]] RepresentativeMarks& representatives() {
     return representatives_;
   }
 
   /// Phase 2's proof memo: keys of the calls proven undetectable by runs
-  /// on this arena. Unlike representatives(), runs never clear it (a key
+  /// on this arena. Unlike representatives(), runs never reset it (a key
   /// fixes the function its proof decides, so it stays valid across
   /// designs); ProofMemo's entry cap bounds it.
   /// Each arena owns one, so concurrent ladder lanes share nothing.
@@ -412,7 +413,7 @@ class FaultSimArena {
 
  private:
   std::vector<std::unique_ptr<FaultSimulator>> slots_;
-  FaultKeyTable<std::uint32_t> representatives_;
+  RepresentativeMarks representatives_;
   ProofMemo proof_memo_;
 #ifndef NDEBUG
   std::thread::id owner_{};

@@ -264,10 +264,7 @@ void DesignFlow::rebase_overlays(const Netlist& nl) {
 }
 
 void DesignFlow::commit_updates(const FaultStatusCache& updates) {
-  updates.table.for_each(
-      [this](const Fault::Key& key, FaultStatus status) {
-        cache_.store(key, status);
-      });
+  cache_.merge(updates);
 }
 
 std::vector<std::uint8_t> DesignFlow::cone_untouched_flags(

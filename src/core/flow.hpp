@@ -272,7 +272,7 @@ class DesignFlow {
   }
   [[nodiscard]] const FlowOptions& options() const { return options_; }
   [[nodiscard]] FaultStatusCache& cache() { return cache_; }
-  void clear_cache() { cache_.table.clear(); }
+  void clear_cache() { cache_.clear(); }
 
   /// Library cells ordered by decreasing internal-fault count (the
   /// consideration order of the resynthesis procedure). Sequential cells

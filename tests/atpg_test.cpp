@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <functional>
 #include <limits>
+#include <map>
 #include <memory>
-#include <unordered_map>
+#include <thread>
+#include <tuple>
 
 #include "src/atpg/engine.hpp"
 #include "src/atpg/excitation.hpp"
@@ -13,7 +15,6 @@
 #include "src/atpg/region.hpp"
 #include "src/circuits/benchmarks.hpp"
 #include "src/dfm/checker.hpp"
-#include "src/faults/fault_key_table.hpp"
 #include "src/library/osu018.hpp"
 #include "src/sim/parallel_sim.hpp"
 #include "src/synth/mapper.hpp"
@@ -770,203 +771,295 @@ TEST(Engine, CacheReproducesStatuses) {
   }
 }
 
-// ---- FaultKeyTable: the flat table behind the status cache ----
+// ---- VerdictStore: the id-indexed FaultStatusCache ----
 
 constexpr std::uint32_t kNoId = NetId::kInvalid;
-constexpr auto kBridgeKind = static_cast<std::uint8_t>(FaultKind::Bridge);
-constexpr auto kCellAwareKind = static_cast<std::uint8_t>(FaultKind::CellAware);
 
-/// A random key that keeps the packing invariant (aggressor only on
-/// bridges, owner only on cell-aware faults); 1 in 16 ids is the
-/// invalid sentinel.
-Fault::Key random_key(Rng& rng) {
-  const auto id = [&rng] {
-    return rng.below(16) == 0 ? kNoId
-                              : static_cast<std::uint32_t>(rng.below(40000));
-  };
+/// std::map order for Fault::Key, field by field.
+struct KeyLess {
+  bool operator()(const Fault::Key& a, const Fault::Key& b) const {
+    return std::tie(a.kind, a.bridge_type, a.victim, a.aggressor, a.owner,
+                    a.udfm_index, a.value) <
+           std::tie(b.kind, b.bridge_type, b.victim, b.aggressor, b.owner,
+                    b.udfm_index, b.value);
+  }
+};
+using RefStore = std::map<Fault::Key, FaultStatus, KeyLess>;
+
+/// The largest UDFM fault count of an OSU018 cell: indices run to 71.
+constexpr std::uint32_t kMaxCellFaults = 72;
+
+/// A cell-aware key's victim is its owner's first output; any fixed
+/// function of the owner keeps that invariant.
+std::uint32_t first_output_of(std::uint32_t owner) { return 2 * owner + 1; }
+
+/// A random key of any of the four kinds, keeping the Fault invariants
+/// the store relies on, over ids below `ids`.
+Fault::Key random_key(Rng& rng, std::uint32_t ids) {
+  const auto id = [&] { return static_cast<std::uint32_t>(rng.below(ids)); };
   Fault::Key k{};
   k.kind = static_cast<std::uint8_t>(rng.below(4));
-  k.bridge_type = static_cast<std::uint8_t>(rng.below(2));
-  k.victim = id();
-  k.aggressor = k.kind == kBridgeKind ? id() : kNoId;
-  k.owner = k.kind == kCellAwareKind ? id() : kNoId;
-  k.udfm_index = rng.below(8) == 0 ? static_cast<std::uint32_t>(rng.next())
-                                   : static_cast<std::uint32_t>(rng.below(40));
-  k.value = rng.flip();
+  k.bridge_type = 0;
+  k.aggressor = kNoId;
+  k.owner = kNoId;
+  k.udfm_index = 0;
+  k.value = false;
+  switch (static_cast<FaultKind>(k.kind)) {
+    case FaultKind::StuckAt:
+    case FaultKind::Transition:
+      k.victim = id();
+      k.value = rng.flip();
+      break;
+    case FaultKind::Bridge:
+      k.victim = id();
+      k.aggressor = id();
+      k.bridge_type = static_cast<std::uint8_t>(rng.below(2));
+      break;
+    case FaultKind::CellAware:
+      k.owner = id();
+      k.victim = first_output_of(k.owner);
+      k.udfm_index = static_cast<std::uint32_t>(rng.below(kMaxCellFaults));
+      break;
+  }
   return k;
 }
 
-/// Valid keys that differ from `k` in exactly one field.
-std::vector<Fault::Key> one_field_neighbours(const Fault::Key& k) {
-  std::vector<Fault::Key> out;
-  const auto with = [&](auto edit) {
-    Fault::Key n = k;
-    edit(n);
-    out.push_back(n);
-  };
-  if (k.aggressor == kNoId && k.owner == kNoId) {
-    for (std::uint8_t kind = 0; kind < 4; ++kind) {
-      if (kind != k.kind) with([kind](Fault::Key& n) { n.kind = kind; });
-    }
-  }
-  with([](Fault::Key& n) { n.bridge_type ^= 1; });
-  with([](Fault::Key& n) { n.value = !n.value; });
-  with([](Fault::Key& n) { n.victim ^= 1; });
-  with([](Fault::Key& n) { n.victim = n.victim == kNoId ? 0 : kNoId; });
-  with([](Fault::Key& n) { n.udfm_index ^= 1; });
-  with([](Fault::Key& n) { n.udfm_index ^= 0x80000000u; });
-  if (k.kind == kBridgeKind) {
-    with([](Fault::Key& n) { n.aggressor ^= 1; });
-    with([](Fault::Key& n) { n.aggressor = n.aggressor == kNoId ? 0 : kNoId; });
-  }
-  if (k.kind == kCellAwareKind) {
-    with([](Fault::Key& n) { n.owner ^= 1; });
-    with([](Fault::Key& n) { n.owner = n.owner == kNoId ? 0 : kNoId; });
-  }
-  return out;
+FaultStatus random_status(Rng& rng) {
+  return static_cast<FaultStatus>(rng.below(4));  // Unknown erases
 }
 
-/// Hash for the std::unordered_map references the table is checked
-/// against.
-struct RefKeyHash {
-  std::size_t operator()(const Fault::Key& k) const {
-    const std::hash<std::uint64_t> h;
-    return h((std::uint64_t{k.victim} << 32) | k.aggressor) * 31 +
-           h((std::uint64_t{k.owner} << 32) | k.udfm_index) * 7 +
-           static_cast<std::size_t>(k.kind << 2 | k.bridge_type << 1 |
-                                    static_cast<int>(k.value));
-  }
-};
-using RefMap = std::unordered_map<Fault::Key, std::uint32_t, RefKeyHash>;
-
-TEST(FaultKeyTable, MatchesUnorderedMapOnRandomKeys) {
-  Rng rng(2024);
-  FaultKeyTable<std::uint32_t> table;
-  RefMap ref;
-  std::vector<Fault::Key> seen;
-  std::size_t neighbour_ops = 0;
-  for (std::uint32_t op = 0; op < 25000; ++op) {
-    // Every key comes with all its one-field neighbours, so each
-    // single-field difference lands next to a live entry; a quarter of
-    // the rounds revisit the neighbourhood of an earlier key.
-    const Fault::Key centre = !seen.empty() && rng.below(4) == 0
-                                  ? seen[rng.below(seen.size())]
-                                  : random_key(rng);
-    std::vector<Fault::Key> batch = one_field_neighbours(centre);
-    neighbour_ops += batch.size();
-    batch.push_back(centre);
-    if (seen.size() < 4096) seen.push_back(centre);
-    for (const Fault::Key& k : batch) {
-      const std::uint32_t v = static_cast<std::uint32_t>(rng.next());
-      switch (rng.below(3)) {
-        case 0: {
-          const auto [slot, inserted] = table.try_emplace(k, v);
-          const auto [it, ref_inserted] = ref.try_emplace(k, v);
-          ASSERT_EQ(inserted, ref_inserted);
-          ASSERT_EQ(*slot, it->second);
-          break;
-        }
-        case 1:
-          table.insert_or_assign(k, v);
-          ref.insert_or_assign(k, v);
-          break;
-        default: {
-          const std::uint32_t* got = table.find(k);
-          const auto it = ref.find(k);
-          ASSERT_EQ(got != nullptr, it != ref.end());
-          if (got != nullptr) {
-            ASSERT_EQ(*got, it->second);
-          }
-        }
-      }
-      ASSERT_EQ(table.size(), ref.size());
-    }
-  }
-  EXPECT_GT(neighbour_ops, 100000u);
-  EXPECT_GT(ref.size(), 100000u);
-  for (const auto& [k, v] : ref) {
-    const std::uint32_t* got = table.find(k);
-    ASSERT_NE(got, nullptr);
-    EXPECT_EQ(*got, v);
+/// Stores into both; the engine passes the cell's UDFM fault count, the
+/// other half of the calls leave the block to size itself.
+void store_both(FaultStatusCache& store, RefStore& ref, const Fault::Key& k,
+                FaultStatus s, Rng& rng) {
+  const bool cell_aware = k.kind == static_cast<std::uint8_t>(
+                                        FaultKind::CellAware);
+  store.store(k, s, cell_aware && rng.flip() ? kMaxCellFaults : 0);
+  if (s == FaultStatus::Unknown) {
+    ref.erase(k);
+  } else {
+    ref[k] = s;
   }
 }
 
-TEST(FaultKeyTable, OverwriteKeepsOneEntry) {
-  FaultKeyTable<FaultStatus> table;
-  Fault f;
-  f.kind = FaultKind::Bridge;
-  f.victim = NetId{7};
-  f.aggressor = NetId{9};
-  table.insert_or_assign(f.key(), FaultStatus::Aborted);
-  table.insert_or_assign(f.key(), FaultStatus::Detected);
-  EXPECT_FALSE(table.try_emplace(f.key(), FaultStatus::Undetectable).second);
-  EXPECT_EQ(table.size(), 1u);
-  ASSERT_NE(table.find(f.key()), nullptr);
-  EXPECT_EQ(*table.find(f.key()), FaultStatus::Detected);
-  // The same nets with victim and aggressor swapped are another fault.
-  std::swap(f.victim, f.aggressor);
-  EXPECT_EQ(table.find(f.key()), nullptr);
-}
-
-TEST(FaultKeyTable, GrowthAcrossRehashesKeepsEveryEntry) {
-  Rng rng(77);
-  FaultKeyTable<std::uint32_t> table;
-  std::vector<Fault::Key> keys;
-  int rehashes = 0;
-  for (std::uint32_t i = 0; i < 20000; ++i) {
-    const Fault::Key k = random_key(rng);
-    const std::size_t before = table.capacity();
-    if (!table.try_emplace(k, i).second) continue;
-    keys.push_back(k);
-    if (table.capacity() == before) continue;
-    ++rehashes;
-    EXPECT_EQ(table.capacity() & (table.capacity() - 1), 0u);
-    EXPECT_LE(table.size() * 10, table.capacity() * 7);
-    for (const Fault::Key& old : keys) ASSERT_NE(table.find(old), nullptr);
-  }
-  EXPECT_GE(rehashes, 8);
-  EXPECT_EQ(table.size(), keys.size());
-}
-
-TEST(FaultKeyTable, ForEachVisitsEachKeyOnce) {
-  Rng rng(5);
-  FaultKeyTable<std::uint32_t> table;
-  RefMap ref;
-  for (std::uint32_t i = 0; i < 5000; ++i) {
-    const Fault::Key k = random_key(rng);
-    table.insert_or_assign(k, i);
-    ref.insert_or_assign(k, i);
-  }
-  std::unordered_map<Fault::Key, int, RefKeyHash> visits;
-  table.for_each([&](const Fault::Key& k, std::uint32_t v) {
-    ++visits[k];
+void expect_same(const FaultStatusCache& store, const RefStore& ref) {
+  ASSERT_EQ(store.size(), ref.size());
+  for (const auto& [k, s] : ref) ASSERT_EQ(store.lookup(k), s);
+  std::size_t visited = 0;
+  store.for_each([&](const Fault::Key& k, FaultStatus s) {
+    ++visited;
     const auto it = ref.find(k);
     ASSERT_NE(it, ref.end());
-    EXPECT_EQ(v, it->second);
+    EXPECT_EQ(s, it->second);
   });
-  EXPECT_EQ(visits.size(), ref.size());
-  for (const auto& [k, n] : visits) EXPECT_EQ(n, 1);
+  EXPECT_EQ(visited, ref.size());
 }
 
-TEST(FaultKeyTable, ClearDropsEntriesAndKeepsCapacity) {
-  Rng rng(11);
-  FaultKeyTable<FaultStatus> table;
-  std::vector<Fault::Key> keys;
-  for (int i = 0; i < 1000; ++i) {
-    keys.push_back(random_key(rng));
-    table.insert_or_assign(keys.back(), FaultStatus::Undetectable);
+TEST(VerdictStore, MatchesMapOnRandomKeysOfAllKinds) {
+  Rng rng(2024);
+  FaultStatusCache store;
+  RefStore ref;
+  std::size_t kinds_stored[4] = {};
+  for (int op = 0; op < 60000; ++op) {
+    const Fault::Key k = random_key(rng, 3000);
+    if (rng.below(2) == 0) {
+      const FaultStatus s = random_status(rng);
+      store_both(store, ref, k, s, rng);
+      ++kinds_stored[k.kind];
+    } else {
+      const auto it = ref.find(k);
+      ASSERT_EQ(store.lookup(k),
+                it == ref.end() ? FaultStatus::Unknown : it->second);
+    }
+    ASSERT_EQ(store.size(), ref.size());
   }
-  const std::size_t capacity = table.capacity();
-  table.clear();
-  EXPECT_EQ(table.size(), 0u);
-  EXPECT_EQ(table.capacity(), capacity);
-  for (const Fault::Key& k : keys) EXPECT_EQ(table.find(k), nullptr);
-  int visited = 0;
-  table.for_each([&](const Fault::Key&, FaultStatus) { ++visited; });
-  EXPECT_EQ(visited, 0);
-  table.insert_or_assign(keys.front(), FaultStatus::Detected);
-  EXPECT_EQ(table.size(), 1u);
-  EXPECT_EQ(*table.find(keys.front()), FaultStatus::Detected);
+  for (const std::size_t n : kinds_stored) EXPECT_GT(n, 5000u);
+  EXPECT_GT(ref.size(), 10000u);
+  expect_same(store, ref);
+}
+
+TEST(VerdictStore, IdsPastTheEndReadUnknown) {
+  FaultStatusCache store;
+  Rng rng(3);
+  for (int i = 0; i < 200; ++i) {
+    EXPECT_EQ(store.lookup(random_key(rng, 1u << 30)), FaultStatus::Unknown);
+  }
+  Fault f;
+  f.victim = NetId{5};
+  store.store(f.key(), FaultStatus::Detected);
+  for (const FaultKind kind : {FaultKind::StuckAt, FaultKind::Transition,
+                               FaultKind::Bridge, FaultKind::CellAware}) {
+    for (const std::uint32_t id : {6u, 1000u, 1u << 20, kNoId - 1}) {
+      Fault g;
+      g.kind = kind;
+      g.victim = NetId{id};
+      if (kind == FaultKind::Bridge) g.aggressor = NetId{id};
+      if (kind == FaultKind::CellAware) {
+        g.owner = GateId{id};
+        g.victim = NetId{first_output_of(id)};
+      }
+      EXPECT_EQ(store.lookup(g.key()), FaultStatus::Unknown) << id;
+    }
+  }
+  // Storing an Unknown past the end is a no-op, not a growth.
+  Fault far;
+  far.victim = NetId{1u << 20};
+  store.store(far.key(), FaultStatus::Unknown);
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.lookup(f.key()), FaultStatus::Detected);
+}
+
+TEST(VerdictStore, UdfmIndex71KeepsItsOwnSlot) {
+  // Indices 7 and 71 agree modulo 64, and gate 3's block ends next to
+  // gate 4's: neither may alias.
+  FaultStatusCache store;
+  const auto ca = [](std::uint32_t owner, std::uint32_t index) {
+    Fault f;
+    f.kind = FaultKind::CellAware;
+    f.owner = GateId{owner};
+    f.victim = NetId{first_output_of(owner)};
+    f.udfm_index = index;
+    return f.key();
+  };
+  store.store(ca(3, 71), FaultStatus::Undetectable, kMaxCellFaults);
+  store.store(ca(4, 0), FaultStatus::Aborted, kMaxCellFaults);
+  EXPECT_EQ(store.lookup(ca(3, 7)), FaultStatus::Unknown);
+  EXPECT_EQ(store.lookup(ca(3, 71)), FaultStatus::Undetectable);
+  EXPECT_EQ(store.lookup(ca(4, 0)), FaultStatus::Aborted);
+  EXPECT_EQ(store.lookup(ca(4, 71)), FaultStatus::Unknown);
+  store.store(ca(3, 7), FaultStatus::Detected, kMaxCellFaults);
+  EXPECT_EQ(store.lookup(ca(3, 71)), FaultStatus::Undetectable);
+  // A block made too small for a later index is regrown, not aliased.
+  store.store(ca(9, 0), FaultStatus::Detected);
+  store.store(ca(9, 71), FaultStatus::Undetectable);
+  EXPECT_EQ(store.lookup(ca(9, 0)), FaultStatus::Detected);
+  EXPECT_EQ(store.lookup(ca(9, 71)), FaultStatus::Undetectable);
+  EXPECT_EQ(store.lookup(ca(9, 7)), FaultStatus::Unknown);
+  EXPECT_EQ(store.size(), 5u);
+}
+
+TEST(VerdictStore, OverwriteKeepsOneEntry) {
+  for (const FaultKind kind : {FaultKind::StuckAt, FaultKind::Transition,
+                               FaultKind::Bridge, FaultKind::CellAware}) {
+    FaultStatusCache store;
+    Fault f;
+    f.kind = kind;
+    f.victim = NetId{7};
+    if (kind == FaultKind::Bridge) f.aggressor = NetId{9};
+    if (kind == FaultKind::CellAware) {
+      f.owner = GateId{3};
+      f.victim = NetId{first_output_of(3)};
+    }
+    store.store(f.key(), FaultStatus::Aborted);
+    store.store(f.key(), FaultStatus::Detected);
+    EXPECT_EQ(store.size(), 1u);
+    EXPECT_EQ(store.lookup(f.key()), FaultStatus::Detected);
+    store.store(f.key(), FaultStatus::Unknown);
+    EXPECT_EQ(store.size(), 0u);
+    EXPECT_EQ(store.lookup(f.key()), FaultStatus::Unknown);
+  }
+  // The same nets with victim and aggressor swapped are another bridge,
+  // and so is the other bridge type.
+  FaultStatusCache store;
+  Fault b;
+  b.kind = FaultKind::Bridge;
+  b.victim = NetId{7};
+  b.aggressor = NetId{9};
+  store.store(b.key(), FaultStatus::Undetectable);
+  Fault swapped = b;
+  std::swap(swapped.victim, swapped.aggressor);
+  EXPECT_EQ(store.lookup(swapped.key()), FaultStatus::Unknown);
+  Fault other_type = b;
+  other_type.bridge_type = BridgeType::DomOr;
+  EXPECT_EQ(store.lookup(other_type.key()), FaultStatus::Unknown);
+}
+
+TEST(VerdictStore, OverlayOverBaseReadsAndFoldsExactly) {
+  Rng rng(91);
+  FaultStatusCache base;
+  RefStore base_ref;
+  for (int i = 0; i < 20000; ++i) {
+    const Fault::Key k = random_key(rng, 2000);
+    store_both(base, base_ref, k, random_status(rng), rng);
+  }
+  // An overlay over a subset of the base's keys and over fresh ids.
+  FaultStatusCache overlay;
+  RefStore overlay_ref;
+  for (int i = 0; i < 5000; ++i) {
+    const Fault::Key k = random_key(rng, 2400);
+    FaultStatus s = random_status(rng);
+    if (s == FaultStatus::Unknown) s = FaultStatus::Aborted;
+    store_both(overlay, overlay_ref, k, s, rng);
+  }
+  RefStore merged = base_ref;
+  for (const auto& [k, s] : overlay_ref) merged[k] = s;
+  for (const auto& [k, s] : merged) {
+    const FaultStatus d = overlay.lookup(k);
+    ASSERT_EQ(d != FaultStatus::Unknown ? d : base.lookup(k), s);
+  }
+  base.merge(overlay);
+  expect_same(base, merged);
+  expect_same(overlay, overlay_ref);  // merge reads, never moves
+}
+
+TEST(VerdictStore, MergeVisitsEachKeyOnce) {
+  Rng rng(5);
+  FaultStatusCache delta;
+  RefStore ref;
+  for (int i = 0; i < 8000; ++i) {
+    store_both(delta, ref, random_key(rng, 1500), random_status(rng), rng);
+  }
+  std::map<Fault::Key, int, KeyLess> visits;
+  delta.for_each([&](const Fault::Key& k, FaultStatus) { ++visits[k]; });
+  EXPECT_EQ(visits.size(), ref.size());
+  for (const auto& [k, n] : visits) EXPECT_EQ(n, 1);
+  FaultStatusCache folded;
+  folded.merge(delta);
+  expect_same(folded, ref);
+  folded.merge(delta);  // folding the same delta again changes nothing
+  expect_same(folded, ref);
+  folded.clear();
+  EXPECT_EQ(folded.size(), 0u);
+  for (const auto& [k, s] : ref) EXPECT_EQ(folded.lookup(k), FaultStatus::Unknown);
+}
+
+TEST(VerdictStore, ConcurrentReadersShareOneBase) {
+  // The parallel ladder's pattern: workers read one base that nobody
+  // writes and each stores into a private overlay.
+  Rng rng(17);
+  FaultStatusCache base;
+  RefStore base_ref;
+  for (int i = 0; i < 20000; ++i) {
+    store_both(base, base_ref, random_key(rng, 2000), random_status(rng), rng);
+  }
+  constexpr int kReaders = 4;
+  std::vector<FaultStatusCache> overlays(kReaders);
+  std::vector<RefStore> overlay_refs(kReaders);
+  std::vector<std::size_t> mismatches(kReaders, 0);
+  {
+    std::vector<std::jthread> readers;
+    for (int r = 0; r < kReaders; ++r) {
+      readers.emplace_back([&, r] {
+        Rng local(100 + static_cast<std::uint64_t>(r));
+        for (int i = 0; i < 20000; ++i) {
+          const Fault::Key k = random_key(local, 2600);
+          const auto it = base_ref.find(k);
+          const FaultStatus want =
+              it == base_ref.end() ? FaultStatus::Unknown : it->second;
+          if (base.lookup(k) != want) ++mismatches[r];
+          if (local.below(4) == 0) {
+            store_both(overlays[r], overlay_refs[r], k, FaultStatus::Detected,
+                       local);
+          }
+        }
+      });
+    }
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    EXPECT_EQ(mismatches[r], 0u) << "reader " << r;
+    expect_same(overlays[r], overlay_refs[r]);
+  }
+  expect_same(base, base_ref);
 }
 
 // ---- RelevantRegion signatures and the proof memo ----

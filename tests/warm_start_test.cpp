@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 
 #include "src/circuits/benchmarks.hpp"
@@ -20,6 +21,7 @@
 #include "src/core/resynthesis.hpp"
 #include "src/library/osu018.hpp"
 #include "src/netlist/extract.hpp"
+#include "src/netlist/verilog.hpp"
 #include "src/synth/mapper.hpp"
 
 namespace dfmres {
@@ -307,18 +309,18 @@ TEST(WarmStart, ProbeOverlayIsADeltaOverTheBase) {
 
   const FaultStatusCache& base = flow.cache();
   const FaultStatusCache& overlay = session.updates();
-  FaultKeyTable<std::uint8_t> new_or_changed;  // used as a set
+  FaultStatusCache new_or_changed;  // used as a set
   for (std::size_t i = 0; i < probed->universe.size(); ++i) {
     const Fault::Key k = probed->universe.faults[i].key();
     const FaultStatus status = probed->atpg.status[i];
     const FaultStatus delta = overlay.lookup(k);
     EXPECT_EQ(delta != FaultStatus::Unknown ? delta : base.lookup(k), status)
         << "fault " << i;
-    if (base.lookup(k) != status) new_or_changed.try_emplace(k, 0);
+    if (base.lookup(k) != status) new_or_changed.store(k, status);
   }
   // The overlay records only what the probe learned beyond the base.
-  EXPECT_LE(overlay.table.size(), new_or_changed.size());
-  EXPECT_GE(session.counters().verdict_stores, overlay.table.size());
+  EXPECT_LE(overlay.size(), new_or_changed.size());
+  EXPECT_GE(session.counters().verdict_stores, overlay.size());
   EXPECT_GT(session.counters().memo_hits, 0u);
 
   flow.commit_probe(std::move(session));
@@ -327,6 +329,56 @@ TEST(WarmStart, ProbeOverlayIsADeltaOverTheBase) {
               probed->atpg.status[i])
         << "fault " << i;
   }
+}
+
+/// FNV-1a, folded one value or string at a time.
+struct Fnv {
+  std::uint64_t h = 14695981039346656037ull;
+  void add(std::uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ull;
+  }
+  void add(const std::string& s) {
+    for (const char c : s) add(static_cast<unsigned char>(c));
+    add(s.size());
+  }
+};
+
+TEST(ResynPinned, SparcTluOutputMatchesRecordedHash) {
+  // `dfmres resyn sparc_tlu` at the default options: the written netlist,
+  // the final F/U/A/T and the accepted-candidate trace. Verdict caching
+  // and duplicate collapsing are pure accelerations, so a change to how
+  // they are stored must leave this hash as it is.
+  FlowOptions flow_options;
+  flow_options.atpg.num_threads = 1;
+  DesignFlow flow(osu018_library(), flow_options);
+  const FlowState original =
+      flow.run_initial(build_benchmark("sparc_tlu").value()).value();
+  const auto result = resynthesize(flow, original, ResynthesisOptions{});
+  ASSERT_TRUE(result.has_value());
+  const FlowState& s = result->state;
+  Fnv fnv;
+  std::ostringstream verilog;
+  write_verilog(s.netlist, verilog);
+  fnv.add(verilog.str());
+  for (const std::size_t n : {s.num_faults(), s.num_undetectable(),
+                              s.num_aborted(), s.atpg.tests.size()}) {
+    fnv.add(n);
+  }
+  std::size_t accepted = 0;
+  for (const IterationRecord& r : result->report.trace) {
+    if (!r.accepted) continue;
+    ++accepted;
+    for (const std::uint64_t v :
+         {std::uint64_t(r.q), std::uint64_t(r.phase), std::uint64_t(r.smax),
+          std::uint64_t(r.undetectable), std::uint64_t(r.faults),
+          std::uint64_t(r.via_backtracking)}) {
+      fnv.add(v);
+    }
+    fnv.add(r.banned_through);
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_EQ(fnv.h, 0xe9f2b6d9e6cb0b2eull) << "0x" << std::hex << fnv.h;
 }
 
 }  // namespace
