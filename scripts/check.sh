@@ -99,22 +99,26 @@ python3 scripts/summarize_report.py "$OBS_DIR/report.json"
 
 # SAT-stage gate: the three abort-heavy blocks must classify every fault
 # within the default conflict budget — A no larger than the per-block
-# counts in EXPERIMENTS.md ("SAT second stage") — and the run report must
-# carry the SAT and proof-memo counters.
+# counts in EXPERIMENTS.md ("SAT second stage") — with exactly the U each
+# block has had since the SAT stage landed, and the run report must carry
+# the SAT and proof-memo counters.
 SATSTAGE_DIR="$BUILD_DIR/sat_stage_gate"
 mkdir -p "$SATSTAGE_DIR"
-for spec in sparc_ffu:0 aes_core:0 sparc_fpu:0; do
+for spec in sparc_ffu:0:320 aes_core:0:1214 sparc_fpu:0:1364; do
   block="${spec%%:*}"
   "$BUILD_DIR/tools/dfmres" flow "$block" \
     --report-out "$SATSTAGE_DIR/$block.json" > /dev/null
   python3 - "$SATSTAGE_DIR/$block.json" "${spec#*:}" <<'EOF'
 import json, sys
 report = json.load(open(sys.argv[1]))
-max_a = int(sys.argv[2])
+max_a, want_u = (int(x) for x in sys.argv[2].split(":"))
 aborted = report["final"]["aborted"]
 assert aborted <= max_a, f"{report['circuit']}: A={aborted} > {max_a}"
+undetectable = report["final"]["undetectable"]
+assert undetectable == want_u, \
+    f"{report['circuit']}: U={undetectable}, expected {want_u}"
 for key in ("podem_handoffs", "sat_calls", "sat_conflicts", "sat_detected",
-            "sat_undetectable", "sat_aborted", "sat_seconds",
+            "sat_undetectable", "sat_aborted", "sat_clauses", "sat_seconds",
             "proof_memo_hits"):
     assert key in report["atpg"], f"report lacks atpg.{key}"
 # Every PODEM->SAT handoff is one SAT call ending in one verdict.
@@ -128,7 +132,8 @@ assert atpg["podem_handoffs"] == atpg["sat_calls"] == sat_verdicts, \
 hits = report["atpg"]["proof_memo_hits"]
 assert hits > 0, f"{report['circuit']}: no proof memo hits"
 print(f"sat stage gate: {report['circuit']} A={aborted} (<= {max_a}),"
-      f" {report['atpg']['sat_calls']} SAT calls, {hits} proof memo hits")
+      f" U={undetectable}, {atpg['sat_calls']} SAT calls"
+      f" ({atpg['sat_clauses']} clauses), {hits} proof memo hits")
 EOF
 done
 

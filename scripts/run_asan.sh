@@ -6,9 +6,10 @@
 # ladder (warm_start_test), the core flow (core_test), the engine
 # itself and the id-indexed verdict store behind the status cache
 # (atpg_test; VerdictStore.* drives ids past the end, cell-aware block
-# regrowth and overlay folding), the SAT stage's solver and miter
-# (sat_test: clause arena garbage collection and watch-list reuse across
-# resets), and the copy-on-write probe overlays
+# regrowth and overlay folding), the SAT stage's run-long solver and
+# miter (sat_test: clause arena garbage collection, retired-cone
+# collection and variable reuse, watch-list rebuilds), and the
+# copy-on-write probe overlays
 # (overlay_test — baseline frame aliasing and the per-batch dirty-slot
 # replay are exactly the pointer gymnastics ASan is for), the flat
 # DFM extractor (dfm_test), and the switch-level simulator's reused CSR

@@ -288,7 +288,8 @@ def summarize_run(report, indent=""):
             f"({atpg.get('sat_detected', 0)} D/"
             f"{atpg.get('sat_undetectable', 0)} U/"
             f"{atpg.get('sat_aborted', 0)} A, "
-            f"{atpg.get('sat_conflicts', 0)} conflicts), "
+            f"{atpg.get('sat_conflicts', 0)} conflicts, "
+            f"{atpg.get('sat_clauses', 0)} clauses), "
             f"{atpg.get('proof_memo_hits', 0)} proof memo hits, "
             f"phases {atpg['phase0_seconds']:.2f}/"
             f"{atpg['phase1_seconds']:.2f}/{atpg['phase2_seconds']:.2f}/"
@@ -312,7 +313,8 @@ def summarize_run(report, indent=""):
                 f" {c['probe_podem_handoffs']} handoffs,"
                 f" sat {c['probe_sat_detected']} D/"
                 f"{c['probe_sat_undetectable']} U/{c['probe_sat_aborted']} A"
-                f" ({c['probe_sat_seconds']:.2f}s),"
+                f" ({c.get('probe_sat_clauses', 0)} clauses,"
+                f" {c['probe_sat_seconds']:.2f}s),"
                 f" {c['probe_proof_memo_hits']} proof memo hits"
             )
         print_line(

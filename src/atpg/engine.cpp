@@ -539,6 +539,7 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
     result.counters.sat_detected = st.detected;
     result.counters.sat_undetectable = st.undetectable;
     result.counters.sat_aborted = st.aborted;
+    result.counters.sat_clauses = st.clauses;
     result.counters.sat_seconds = st.seconds;
   }
   result.counters.patterns_simulated = simulator.patterns_simulated();

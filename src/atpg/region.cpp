@@ -85,6 +85,8 @@ RelevantRegion::RelevantRegion(const Netlist& nl, const CombView& view)
   }
   observe_.assign(view.net_slots, 0);
   for (NetId obs : view.observe) observe_[obs.value()] = 1;
+  source_.assign(view.net_slots, 0);
+  for (NetId src : view.sources) source_[src.value()] = 1;
   label_.assign(view.net_slots, constant_label(false));
   for (NetId src : view.sources) {
     label_[src.value()] = Record(kSourceLabel).add(src.value()).finish();
@@ -101,12 +103,6 @@ RelevantRegion::RelevantRegion(const Netlist& nl, const CombView& view)
   cone_gate_.assign(nl.gate_capacity(), 0);
   closure_.net_mark.assign(view.net_slots, 0);
   closure_.gate_mark.assign(nl.gate_capacity(), 0);
-}
-
-bool RelevantRegion::is_source(NetId n) const {
-  const auto& net = nl_.net(n);
-  return net.is_primary_input ||
-         (net.has_gate_driver() && nl_.cell_of(net.driver_gate).sequential);
 }
 
 void RelevantRegion::begin() {

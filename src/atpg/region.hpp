@@ -75,9 +75,13 @@ class RelevantRegion {
     const Closure& c = closure();
     return c.gate_mark[g.value()] == c.epoch;
   }
+  [[nodiscard]] bool relevant_net(NetId n) const {
+    const Closure& c = closure();
+    return c.net_mark[n.value()] == c.epoch;
+  }
 
-  /// A PI or flop output: a free input of the call.
-  [[nodiscard]] bool is_source(NetId n) const;
+  /// A PI or flop output (CombView::sources): a free input of the call.
+  [[nodiscard]] bool is_source(NetId n) const { return source_[n.value()]; }
   /// A PO or a flop input (CombView::observe).
   [[nodiscard]] bool is_observed(NetId n) const { return observe_[n.value()]; }
   /// Position of combinational gate `g` in CombView::order.
@@ -128,6 +132,7 @@ class RelevantRegion {
   const Netlist& nl_;
   std::vector<std::uint32_t> topo_pos_;  // gate slot -> topo position
   std::vector<std::uint8_t> observe_;    // net slot -> observation point
+  std::vector<std::uint8_t> source_;     // net slot -> CombView source
   // Net slot -> the function the net computes over the sources: a
   // source is labelled by its id, an undriven net by the constant 0, a
   // gate output by (cell, output pin, ordered fanin labels). Equal labels

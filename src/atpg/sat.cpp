@@ -1,6 +1,7 @@
 #include "src/atpg/sat.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 namespace dfmres {
 
@@ -27,40 +28,14 @@ constexpr double kRestartBase = 100;
 
 }  // namespace
 
-void SatSolver::reset() {
-  // Keeps capacity for the next instance unless an array grew past the
-  // retention cap.
-  const auto clear = [](auto& v) {
-    if (v.capacity() * sizeof(v[0]) > kKeepWords * 4) {
-      std::remove_reference_t<decltype(v)>().swap(v);
-    } else {
-      v.clear();
-    }
-  };
-  ok_ = true;
-  clear(assign_);
-  clear(polarity_);
-  clear(seen_);
-  clear(level_);
-  clear(reason_);
-  clear(activity_);
-  clear(heap_index_);
-  clear(heap_);
-  clear(lbd_stamp_);
-  lbd_stamp_.push_back(0);
-  lbd_epoch_ = 0;
-  var_inc_ = 1.0;
-  clear(arena_);
-  clear(learnts_);
-  clear(watch_head_);
-  clear(watch_nodes_);
-  clear(trail_);
-  trail_lim_.clear();
-  qhead_ = 0;
-  conflicts_ = 0;
-}
-
 std::uint32_t SatSolver::new_var() {
+  if (!free_.empty()) {
+    // Collected: no clause mentions it, and its per-variable state was
+    // cleared then.
+    const std::uint32_t v = free_.back();
+    free_.pop_back();
+    return v;
+  }
   const std::uint32_t v = num_vars();
   assign_.push_back(kUndef);
   polarity_.push_back(kFalse);
@@ -69,10 +44,10 @@ std::uint32_t SatSolver::new_var() {
   reason_.push_back(kNoReason);
   activity_.push_back(0.0);
   heap_index_.push_back(-1);
-  lbd_stamp_.push_back(0);
+  stamp_.push_back(0);
+  rank_.push_back(0);
   watch_head_.push_back(kNone);
   watch_head_.push_back(kNone);
-  heap_insert(v);
   return v;
 }
 
@@ -97,6 +72,7 @@ void SatSolver::attach(std::uint32_t c) {
 }
 
 bool SatSolver::add_clause(std::span<const SatLit> lits) {
+  backtrack(0);
   if (!ok_) return false;
   std::vector<SatLit>& out = add_scratch_;
   out.assign(lits.begin(), lits.end());
@@ -283,7 +259,12 @@ void SatSolver::backtrack(int level) {
     const std::uint32_t v = trail_[c].var();
     polarity_[v] = assign_[v];
     assign_[v] = kUndef;
-    if (heap_index_[v] < 0) heap_insert(v);
+    if (stamp_[v] != epoch_) continue;  // not a decision of this solve
+    if (activity_[v] > 0.0) {
+      if (heap_index_[v] < 0) heap_insert(v);
+    } else {
+      cursor_ = std::min<std::size_t>(cursor_, rank_[v]);
+    }
   }
   trail_.resize(stop);
   trail_lim_.resize(static_cast<std::size_t>(level));
@@ -295,7 +276,15 @@ SatLit SatSolver::pick_branch() {
     const std::uint32_t v = heap_pop();
     if (assign_[v] == kUndef) return SatLit::of(v, polarity_[v] == kTrue);
   }
-  return SatLit{kNone};  // every variable assigned
+  // Every unassigned bumped decision is in the heap; the rest tie at
+  // activity 0 and go by rank.
+  for (; cursor_ < order_.size(); ++cursor_) {
+    const std::uint32_t v = order_[cursor_];
+    if (assign_[v] == kUndef && activity_[v] == 0.0) {
+      return SatLit::of(v, polarity_[v] == kTrue);
+    }
+  }
+  return SatLit{kNone};  // every decision variable assigned
 }
 
 void SatSolver::reduce_learnts() {
@@ -355,10 +344,32 @@ void SatSolver::collect_garbage() {
   }
 }
 
-SatSolver::Result SatSolver::solve(long conflict_budget,
+SatSolver::Result SatSolver::solve(std::span<const SatLit> assumptions,
+                                   std::span<const std::uint32_t> decisions,
+                                   long conflict_budget,
                                    const CancelToken* cancel) {
   conflicts_ = 0;
+  backtrack(0);
   if (!ok_) return Result::Unsat;
+  // This call's decisions, each starting unbumped with phase 0, so the
+  // first decisions follow `decisions`' order (O(decisions)).
+  for (const std::uint32_t v : heap_) heap_index_[v] = -1;
+  heap_.clear();
+  ++epoch_;
+  order_.assign(decisions.begin(), decisions.end());
+  for (std::size_t i = 0; i < order_.size(); ++i) {
+    const std::uint32_t v = order_[i];
+    stamp_[v] = epoch_;
+    rank_[v] = static_cast<std::uint32_t>(i);
+    activity_[v] = 0.0;
+    polarity_[v] = kFalse;
+  }
+  cursor_ = 0;
+  var_inc_ = 1.0;
+  // One level per decision or assumption.
+  const std::size_t max_levels = order_.size() + assumptions.size() + 1;
+  if (lbd_stamp_.size() < max_levels) lbd_stamp_.resize(max_levels, 0);
+
   if (propagate() != kNoReason) {
     ok_ = false;
     return Result::Unsat;
@@ -409,19 +420,91 @@ SatSolver::Result SatSolver::solve(long conflict_budget,
       reduce_learnts();
       max_learnts *= 1.1;
     }
-    const SatLit next = pick_branch();
-    if (next.x == kNone) return Result::Sat;
+    // Assumptions first, one level each (an already-true one opens an
+    // empty level, so level i + 1 always belongs to assumption i).
+    SatLit next{kNone};
+    while (static_cast<std::size_t>(decision_level()) < assumptions.size()) {
+      const SatLit a = assumptions[static_cast<std::size_t>(decision_level())];
+      const std::uint8_t v = value(a);
+      if (v == kUndef) {
+        next = a;
+        break;
+      }
+      if (v == kFalse) {
+        backtrack(0);
+        return Result::Unsat;
+      }
+      trail_lim_.push_back(trail_.size());
+    }
+    if (next.x == kNone) {
+      next = pick_branch();
+      if (next.x == kNone) return Result::Sat;
+    }
     trail_lim_.push_back(trail_.size());
     enqueue(next, kNoReason);
   }
 }
 
-// ---- VSIDS heap (max-activity first, lower index on ties) ----
+void SatSolver::retire(SatLit act, std::span<const std::uint32_t> vars) {
+  backtrack(0);
+  if (value(act) == kUndef) enqueue(~act, kNoReason);
+  retired_.push_back(act.var());
+  retired_.insert(retired_.end(), vars.begin(), vars.end());
+  // Collect once the arena has doubled since the last collection, so
+  // each pass over the clauses is paid for by as many new words.
+  if (arena_.size() >= 2 * collected_words_ + kMinCollectWords) {
+    collect_retired();
+  }
+}
+
+void SatSolver::collect_retired() {
+  if (propagate() != kNoReason) ok_ = false;
+  for (std::uint32_t c = 0; c < arena_.size(); c += 2 + clause_size(c)) {
+    if (clause_deleted(c)) continue;
+    const SatLit* lits = clause_lits(c);
+    for (std::uint32_t k = 0; k < clause_size(c); ++k) {
+      if (value(lits[k]) == kTrue) {
+        arena_[c].x |= 1u << 31;
+        wasted_words_ += 2 + clause_size(c);
+        break;
+      }
+    }
+  }
+  std::erase_if(learnts_, [&](std::uint32_t c) { return clause_deleted(c); });
+  // Level-0 reasons are never read (analysis skips level 0), and a
+  // deleted clause can be one.
+  for (const SatLit l : trail_) reason_[l.var()] = kNoReason;
+  collect_garbage();
+  for (const std::uint32_t v : retired_) seen_[v] = 1;
+#ifndef NDEBUG
+  for (std::uint32_t c = 0; c < arena_.size(); c += 2 + clause_size(c)) {
+    for (std::uint32_t k = 0; k < clause_size(c); ++k) {
+      assert(!seen_[clause_lits(c)[k].var()] && "retired variable in use");
+    }
+  }
+#endif
+  collected_words_ = arena_.size();
+  std::erase_if(trail_, [&](SatLit l) { return seen_[l.var()] != 0; });
+  qhead_ = trail_.size();
+  for (const std::uint32_t v : retired_) {
+    seen_[v] = 0;
+    assign_[v] = kUndef;
+    polarity_[v] = kFalse;
+    level_[v] = 0;
+    activity_[v] = 0.0;
+    stamp_[v] = 0;
+    free_.push_back(v);
+  }
+  retired_.clear();
+}
+
+// ---- VSIDS heap (max-activity first, lower rank on ties) ----
 
 void SatSolver::bump(std::uint32_t v) {
+  if (stamp_[v] != epoch_) return;  // never decided this solve
   activity_[v] += var_inc_;
   if (activity_[v] > 1e100) {
-    for (double& a : activity_) a *= 1e-100;
+    for (const std::uint32_t u : order_) activity_[u] *= 1e-100;
     var_inc_ *= 1e-100;
   }
   if (heap_index_[v] >= 0) heap_up(static_cast<std::size_t>(heap_index_[v]));
@@ -436,7 +519,8 @@ void SatSolver::heap_insert(std::uint32_t v) {
 void SatSolver::heap_up(std::size_t i) {
   const std::uint32_t v = heap_[i];
   const auto before = [&](std::uint32_t a, std::uint32_t b) {
-    return activity_[a] > activity_[b] || (activity_[a] == activity_[b] && a < b);
+    return activity_[a] > activity_[b] ||
+           (activity_[a] == activity_[b] && rank_[a] < rank_[b]);
   };
   while (i > 0) {
     const std::size_t parent = (i - 1) / 2;
@@ -452,7 +536,8 @@ void SatSolver::heap_up(std::size_t i) {
 void SatSolver::heap_down(std::size_t i) {
   const std::uint32_t v = heap_[i];
   const auto before = [&](std::uint32_t a, std::uint32_t b) {
-    return activity_[a] > activity_[b] || (activity_[a] == activity_[b] && a < b);
+    return activity_[a] > activity_[b] ||
+           (activity_[a] == activity_[b] && rank_[a] < rank_[b]);
   };
   for (;;) {
     std::size_t child = 2 * i + 1;

@@ -32,13 +32,11 @@ struct SatLit {
 /// variable heap, phase saving, Luby restarts and LBD-based learnt
 /// clause reduction.
 ///
-/// The solver is built for many small instances in a row: all storage
-/// is a fixed set of flat arrays (per variable, per literal, the clause
-/// arena, and the watch lists as linked nodes in one array), and
-/// `reset()` keeps their capacity, so a warm solver issues no
-/// allocations for instances it has already seen the size of. An array
-/// above kKeepWords words is freed at reset, so one huge instance does
-/// not pin its memory for the rest of the run.
+/// The solver is incremental: one instance serves a whole ATPG run.
+/// Each call adds the clauses it needs, guards the ones that are only
+/// its own with an activation literal, solves under assumptions over
+/// its own decision variables, and retires its scope afterwards. Learnt
+/// clauses that do not depend on a retired scope stay for later calls.
 ///
 /// Deterministic: no randomness and no wall-clock decisions; the only
 /// outside input is the cancel token, polled every 64 conflicts.
@@ -46,27 +44,48 @@ class SatSolver {
  public:
   enum class Result { Sat, Unsat, Unknown };
 
-  /// Forgets every variable and clause of the previous instance.
-  void reset();
-
+  /// A new variable: a fresh index, or one a collection handed back
+  /// (see retire()).
   std::uint32_t new_var();
+  /// Indices ever handed out, free ones included: [0, num_vars()).
   [[nodiscard]] std::uint32_t num_vars() const {
     return static_cast<std::uint32_t>(assign_.size());
   }
 
-  /// Adds a clause at decision level 0 (before solve). Duplicate
-  /// literals are merged, tautologies dropped. Returns false once the
-  /// instance is known unsatisfiable.
+  /// Adds a clause at decision level 0; the last model is dropped.
+  /// Duplicate literals are merged, tautologies dropped. Returns false
+  /// once the clauses are known unsatisfiable.
   bool add_clause(std::span<const SatLit> lits);
   bool add_clause(std::initializer_list<SatLit> lits) {
     return add_clause(std::span<const SatLit>(lits.begin(), lits.size()));
   }
 
-  /// Searches for a model. Unknown when more than `conflict_budget`
-  /// conflicts were needed or `cancel` expired.
-  Result solve(long conflict_budget, const CancelToken* cancel = nullptr);
+  /// Searches for an assignment that makes every assumption true and
+  /// leaves no clause false, branching on `decisions` only. Sat means
+  /// every decision variable is assigned and propagation found no
+  /// conflict; a caller that passes a subset of the variables must know
+  /// that every such assignment extends to a model of all clauses
+  /// (DESIGN.md §18 gives the ATPG miter's reason). Activities and saved
+  /// phases of `decisions` start at 0, so on equal activity they are
+  /// taken in order.
+  /// Unsat means unsatisfiable under the assumptions (and, once a
+  /// level-0 conflict was found, for good). Unknown when more than
+  /// `conflict_budget` conflicts were needed or `cancel` expired.
+  Result solve(std::span<const SatLit> assumptions,
+               std::span<const std::uint32_t> decisions, long conflict_budget,
+               const CancelToken* cancel = nullptr);
 
-  /// Value of `var` in the model of the last Sat answer.
+  /// Ends the scope of activation literal `act`: every clause of the
+  /// scope contains ~act, and `act` itself occurs in none. The unit ~act
+  /// satisfies them for good. `vars` (the scope's own variables) and
+  /// act's variable must occur in no clause outside the scope. From time
+  /// to time a collection drops every clause satisfied at level 0 (the
+  /// retired scopes' clauses and the learnt clauses derived from them)
+  /// and hands the retired variables back to new_var().
+  void retire(SatLit act, std::span<const std::uint32_t> vars);
+
+  /// Value of `var` in the model of the last Sat answer, valid until the
+  /// next add_clause() or retire().
   [[nodiscard]] bool model_value(std::uint32_t var) const {
     return assign_[var] == kTrue;
   }
@@ -77,7 +96,7 @@ class SatSolver {
   static constexpr std::uint8_t kTrue = 0, kFalse = 1, kUndef = 2;
   static constexpr std::uint32_t kNoReason = 0xffffffffu;
   static constexpr std::uint32_t kNone = 0xffffffffu;
-  static constexpr std::size_t kKeepWords = 1u << 18;
+  static constexpr std::size_t kMinCollectWords = 1u << 12;
 
   /// One watch of a clause, linked into its literal's list.
   struct Watch {
@@ -119,6 +138,7 @@ class SatSolver {
   SatLit pick_branch();
   void reduce_learnts();
   void collect_garbage();
+  void collect_retired();
 
   void bump(std::uint32_t v);
   void heap_insert(std::uint32_t v);
@@ -136,6 +156,22 @@ class SatSolver {
   std::vector<std::int32_t> heap_index_;  ///< -1 when not in the heap
   std::vector<std::uint32_t> heap_;
   double var_inc_ = 1.0;
+
+  // Decisions of the current solve(): variable v is one iff stamp_[v] ==
+  // epoch_, at position rank_[v] of order_. The heap holds only bumped
+  // ones (activity > 0); the never-bumped ones (activity 0) are taken in
+  // order from cursor_, which backtracking moves back. Together that is
+  // the order of one heap keyed (activity, then rank), built in
+  // O(decisions) per call instead of O(decisions log decisions).
+  std::vector<std::uint32_t> stamp_;
+  std::vector<std::uint32_t> rank_;
+  std::vector<std::uint32_t> order_;
+  std::uint32_t epoch_ = 0;
+  std::size_t cursor_ = 0;
+
+  std::vector<std::uint32_t> retired_;  ///< awaiting a collection
+  std::vector<std::uint32_t> free_;     ///< collected, for new_var()
+  std::size_t collected_words_ = 0;     ///< arena size after the last one
 
   std::vector<SatLit> arena_;
   std::size_t wasted_words_ = 0;

@@ -27,9 +27,12 @@ std::uint64_t input_mask(int i, bool bit, std::uint64_t full) {
 SatAtpg::SatAtpg(const Netlist& nl, const CombView& view, Config config)
     : nl_(nl), view_(view), config_(config) {
   good_var_.assign(view.net_slots, kNoVar);
+  gate_encoded_.assign(nl.gate_capacity(), 0);
   cone_var_.assign(view.net_slots, kNoVar);
   covers_.resize(nl.library().num_cells());
   cover_ready_.assign(nl.library().num_cells(), 0);
+  const_var_ = solver_.new_var();
+  solver_.add_clause({constant(true)});
 }
 
 const std::array<std::vector<SatAtpg::Cube>, kMaxCellOutputs>& SatAtpg::cover(
@@ -84,8 +87,19 @@ const std::array<std::vector<SatAtpg::Cube>, kMaxCellOutputs>& SatAtpg::cover(
   return covers;
 }
 
+void SatAtpg::add(std::vector<SatLit>& clause, bool guarded) {
+  if (guarded) clause.push_back(~act_);
+  ++stats_.clauses;
+  solver_.add_clause(clause);
+}
+
+void SatAtpg::add_guarded(std::initializer_list<SatLit> lits) {
+  clause_.assign(lits);
+  add(clause_, true);
+}
+
 void SatAtpg::encode_cell(GateId g, std::span<const SatLit> ins,
-                          std::span<const SatLit> outs) {
+                          std::span<const SatLit> outs, bool guarded) {
   const auto& covers = cover(nl_.gate(g).cell);
   for (std::size_t k = 0; k < outs.size(); ++k) {
     for (const Cube& cube : covers[k]) {
@@ -96,44 +110,35 @@ void SatAtpg::encode_cell(GateId g, std::span<const SatLit> ins,
         clause_.push_back(bit ? ~ins[i] : ins[i]);
       }
       clause_.push_back(cube.out ? outs[k] : ~outs[k]);
-      solver_.add_clause(clause_);
+      add(clause_, guarded);
     }
   }
 }
 
-void SatAtpg::begin() {
-  ++stats_.calls;
-  solver_.reset();
-  // Undo the previous instance's marks (O(its region), not O(netlist)).
-  for (const NetId n : good_nets_) good_var_[n.value()] = kNoVar;
-  for (const NetId n : cone_nets_) cone_var_[n.value()] = kNoVar;
-  good_nets_.clear();
-  cone_nets_.clear();
-  const_var_ = solver_.new_var();
-  solver_.add_clause({constant(true)});
-}
-
 SatLit SatAtpg::good(NetId n) {
   std::uint32_t& var = good_var_[n.value()];
-  if (var == kNoVar) {
-    var = solver_.new_var();
-    good_nets_.push_back(n);
-  }
+  if (var == kNoVar) var = solver_.new_var();
   return SatLit::pos(var);
 }
 
 void SatAtpg::encode_good(const RelevantRegion& region) {
   for (const NetId n : region.nets()) {
-    const SatLit g = good(n);
-    // Undriven: the fault simulator reads such nets as 0. Sources are
-    // free variables.
-    if (!region.is_source(n) && !nl_.net(n).has_gate_driver()) {
-      solver_.add_clause({~g});
+    if (good_var_[n.value()] == kNoVar) {
+      const SatLit g = good(n);
+      // Undriven: the fault simulator reads such nets as 0. Sources are
+      // free variables.
+      if (!region.is_source(n) && !nl_.net(n).has_gate_driver()) {
+        clause_.assign(1, ~g);
+        add(clause_, false);
+      }
     }
+    decisions_.push_back(good_var_[n.value()]);
   }
   SatLit ins[kMaxCellInputs];
   SatLit outs[kMaxCellOutputs];
   for (const GateId g : region.gates()) {
+    if (gate_encoded_[g.value()]) continue;
+    gate_encoded_[g.value()] = 1;
     const auto& gate = nl_.gate(g);
     for (std::size_t i = 0; i < gate.fanin.size(); ++i) {
       ins[i] = good(gate.fanin[i]);
@@ -141,14 +146,21 @@ void SatAtpg::encode_good(const RelevantRegion& region) {
     for (std::size_t k = 0; k < gate.outputs.size(); ++k) {
       outs[k] = good(gate.outputs[k]);
     }
-    encode_cell(g, {ins, gate.fanin.size()}, {outs, gate.outputs.size()});
+    encode_cell(g, {ins, gate.fanin.size()}, {outs, gate.outputs.size()},
+                false);
   }
 }
 
-Podem::Outcome SatAtpg::finish(std::vector<V3>* test) {
+SatSolver::Result SatAtpg::solve(long budget) {
   const SatSolver::Result r =
-      solver_.solve(config_.conflict_limit, config_.cancel);
+      solver_.solve(assumptions_, decisions_, budget, config_.cancel);
   stats_.conflicts += solver_.conflicts();
+  return r;
+}
+
+Podem::Outcome SatAtpg::finish(SatSolver::Result r,
+                               const RelevantRegion& region,
+                               std::vector<V3>* test) {
   if (r == SatSolver::Result::Unsat) {
     ++stats_.undetectable;
     return Podem::Outcome::Undetectable;
@@ -158,76 +170,69 @@ Podem::Outcome SatAtpg::finish(std::vector<V3>* test) {
     return Podem::Outcome::Aborted;
   }
   ++stats_.detected;
+  // The region's sources are decisions, so all of them are assigned,
+  // and the assignment extends to a model (DESIGN.md §18).
   if (test != nullptr) {
     test->assign(view_.sources.size(), V3::X);
     for (std::size_t i = 0; i < view_.sources.size(); ++i) {
-      const std::uint32_t var = good_var_[view_.sources[i].value()];
-      if (var != kNoVar) (*test)[i] = v3_of(solver_.model_value(var));
+      const NetId src = view_.sources[i];
+      if (region.relevant_net(src)) {
+        (*test)[i] = v3_of(solver_.model_value(good_var_[src.value()]));
+      }
     }
   }
   return Podem::Outcome::Detected;
 }
 
-Podem::Outcome SatAtpg::justify(const RelevantRegion& region,
-                                std::vector<V3>* test) {
-  assert(!region.is_detect());
-  const auto start = Clock::now();
-  begin();
-  encode_good(region);
-  for (const CondLiteral& lit : region.lits()) {
-    solver_.add_clause({SatLit::of(good(lit.net).var(), lit.value)});
-  }
-  const Podem::Outcome r = finish(test);
-  stats_.seconds += seconds_since(start);
-  return r;
+void SatAtpg::retire_cone() {
+  if (!cone_victim_.valid()) return;
+  solver_.retire(act_, cone_vars_);
+  for (const NetId n : cone_nets_) cone_var_[n.value()] = kNoVar;
+  cone_nets_.clear();
+  cone_vars_.clear();
+  cone_victim_ = NetId::invalid();
 }
 
-Podem::Outcome SatAtpg::detect(const RelevantRegion& region,
-                               std::vector<V3>* test) {
-  assert(region.is_detect());
-  const auto start = Clock::now();
-  begin();
+void SatAtpg::encode_cone(const RelevantRegion& region) {
+  retire_cone();
   const NetId victim = region.victim();
   const bool faulty_value = region.faulty_value();
-  // Each cone net gets three consecutive variables: its faulty value,
-  // its difference d_n (good != faulty) and its activity a_n (see the
-  // path clauses below). The victim's are constants: faulty =
-  // faulty_value, d = a = 1. They come first, so the solver's initial
-  // (index-ordered) decisions are on the propagation path, which
-  // refutes unobservable faults in fewer conflicts than branching on
-  // the good machine first.
+  cone_victim_ = victim;
+  cone_value_ = faulty_value;
+  act_ = SatLit::pos(solver_.new_var());
+  // Each cone net gets three variables: its faulty value, its difference
+  // d_n (good != faulty) and its activity a_n (see the path clauses
+  // below). The victim's are constants: faulty = faulty_value, d = a = 1.
   for (GateId g : region.cone_gates()) {
     for (NetId out : nl_.gate(g).outputs) {
-      cone_var_[out.value()] = solver_.new_var();
-      solver_.new_var();
-      solver_.new_var();
+      cone_var_[out.value()] =
+          static_cast<std::uint32_t>(cone_vars_.size() / 3);
+      for (int k = 0; k < 3; ++k) cone_vars_.push_back(solver_.new_var());
       cone_nets_.push_back(out);
     }
   }
-  encode_good(region);
+  const auto cone_lit = [&](NetId n, int k) {
+    return SatLit::pos(cone_vars_[3 * cone_var_[n.value()] + k]);
+  };
   const auto faulty = [&](NetId n) {
     if (n == victim) return constant(faulty_value);
-    return region.in_cone(n) ? SatLit::pos(cone_var_[n.value()]) : good(n);
+    return region.in_cone(n) ? cone_lit(n, 0) : good(n);
   };
   const auto diff = [&](NetId n) {
-    return n == victim ? constant(true) : SatLit::pos(cone_var_[n.value()] + 1);
+    return n == victim ? constant(true) : cone_lit(n, 1);
   };
   const auto active = [&](NetId n) {
-    return n == victim ? constant(true) : SatLit::pos(cone_var_[n.value()] + 2);
+    return n == victim ? constant(true) : cone_lit(n, 2);
   };
-
-  solver_.add_clause({SatLit::of(good(victim).var(), !faulty_value)});
-  for (const CondLiteral& lit : region.lits()) {
-    solver_.add_clause({SatLit::of(good(lit.net).var(), lit.value)});
-  }
-  // The faulty cone, then Larrabee's active-path clauses. A net differs
-  // only if a cone fanin differs. An active net lies on one chosen
-  // propagation path: it differs, and unless it is observed the path
-  // goes on through one of its sinks. The victim is active, so the path
-  // must reach an observation point. All of this is implied by the
-  // miter, but it lets the solver refute propagation structurally
-  // instead of by enumerating side-input values. (The path needs its own
-  // variable: a difference may die out on a reconvergent branch.)
+  // The faulty cone, then Larrabee's active-path clauses, all under the
+  // cone's activation literal. A net differs only if a cone fanin
+  // differs. An active net lies on one chosen propagation path: it
+  // differs, and unless it is observed the path goes on through one of
+  // its sinks. The victim is active, so the path must reach an
+  // observation point. All of this is implied by the miter, but it lets
+  // the solver refute propagation structurally instead of by
+  // enumerating side-input values. (The path needs its own variable: a
+  // difference may die out on a reconvergent branch.)
   SatLit ins[kMaxCellInputs];
   SatLit outs[kMaxCellOutputs];
   observed_.clear();
@@ -243,7 +248,7 @@ Podem::Outcome SatAtpg::detect(const RelevantRegion& region,
         path_.push_back(active(out));
       }
     }
-    solver_.add_clause(path_);
+    add(path_, true);
   };
   extend(victim);
   for (GateId g : region.cone_gates()) {
@@ -254,25 +259,80 @@ Podem::Outcome SatAtpg::detect(const RelevantRegion& region,
     for (std::size_t k = 0; k < gate.outputs.size(); ++k) {
       outs[k] = faulty(gate.outputs[k]);
     }
-    encode_cell(g, {ins, gate.fanin.size()}, {outs, gate.outputs.size()});
+    encode_cell(g, {ins, gate.fanin.size()}, {outs, gate.outputs.size()},
+                true);
     for (std::size_t k = 0; k < gate.outputs.size(); ++k) {
       const NetId out = gate.outputs[k];
       const SatLit d = diff(out), gd = good(out), f = outs[k];
-      solver_.add_clause({~d, gd, f});
-      solver_.add_clause({~d, ~gd, ~f});
-      solver_.add_clause({d, ~gd, f});
-      solver_.add_clause({d, gd, ~f});
-      solver_.add_clause({~active(out), d});
+      add_guarded({~d, gd, f});
+      add_guarded({~d, ~gd, ~f});
+      add_guarded({d, ~gd, f});
+      add_guarded({d, gd, ~f});
+      add_guarded({~active(out), d});
       path_.assign(1, ~d);
       for (NetId in : gate.fanin) {
         if (region.in_cone(in)) path_.push_back(diff(in));
       }
-      solver_.add_clause(path_);
+      add(path_, true);
       extend(out);
     }
   }
-  solver_.add_clause(observed_);  // empty: no observation point reachable
-  const Podem::Outcome r = finish(test);
+  add(observed_, true);  // just ~act: no observation point reachable
+}
+
+Podem::Outcome SatAtpg::justify(const RelevantRegion& region,
+                                std::vector<V3>* test) {
+  assert(!region.is_detect());
+  const auto start = Clock::now();
+  ++stats_.calls;
+  decisions_.clear();
+  encode_good(region);
+  assumptions_.clear();
+  for (const CondLiteral& lit : region.lits()) {
+    assumptions_.push_back(SatLit::of(good(lit.net).var(), lit.value));
+  }
+  const Podem::Outcome r = finish(solve(config_.conflict_limit), region, test);
+  stats_.seconds += seconds_since(start);
+  return r;
+}
+
+Podem::Outcome SatAtpg::detect(const RelevantRegion& region,
+                               std::vector<V3>* test) {
+  assert(region.is_detect());
+  const auto start = Clock::now();
+  ++stats_.calls;
+  const NetId victim = region.victim();
+  const bool faulty_value = region.faulty_value();
+  // The excitation first: the literals and the victim's good value on
+  // the good machine alone, by propagation only (a zero conflict
+  // budget). Most undetectable calls end here, with no faulty cone
+  // encoded; a conflict leaves a learnt good-machine clause behind.
+  decisions_.clear();
+  encode_good(region);
+  assumptions_.clear();
+  assumptions_.push_back(SatLit::of(good(victim).var(), !faulty_value));
+  for (const CondLiteral& lit : region.lits()) {
+    assumptions_.push_back(SatLit::of(good(lit.net).var(), lit.value));
+  }
+  SatSolver::Result result = solve(0);
+  if (result != SatSolver::Result::Unsat) {
+    // Then the miter. The cone of the previous detect call is reused
+    // by a call on the same victim and faulty value.
+    if (victim != cone_victim_ || faulty_value != cone_value_) {
+      encode_cone(region);
+    }
+    // The cone's variables are the first decisions, so the solver's
+    // initial decisions are on the propagation path, which refutes
+    // unobservable faults in fewer conflicts than branching on the good
+    // machine first.
+    decisions_.insert(decisions_.begin(), cone_vars_.begin(),
+                      cone_vars_.end());
+    assumptions_.insert(assumptions_.begin(), act_);
+    // The call's budget counts the first solve's conflicts too.
+    result = solve(config_.conflict_limit -
+                   static_cast<long>(solver_.conflicts()));
+  }
+  const Podem::Outcome r = finish(result, region, test);
   stats_.seconds += seconds_since(start);
   return r;
 }

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <span>
 #include <vector>
 
@@ -22,17 +23,23 @@ namespace dfmres {
 /// region's relevant nets (the victim cone's nets and side inputs plus
 /// the condition literals, closed backward over drivers), faulty copies
 /// over the region's cone with the victim forced to its faulty value,
-/// the literals and the victim's opposing good value as unit clauses,
-/// and an OR of good != faulty over the cone's observation points.
-/// justify() is the good-machine half alone. Both read the region's
-/// lists and walk no netlist structure of their own. Cells are encoded
-/// from their truth tables as prime-implicant clauses, so unit
-/// propagation is as strong as three-valued simulation in both
-/// directions. Nets with neither a source nor a combinational driver
-/// are constant 0, as in the fault simulator.
+/// and an OR of good != faulty over the cone's observation points; the
+/// literals and the victim's opposing good value are assumptions. It
+/// first solves those assumptions on the good machine alone and encodes
+/// the cone only if that does not refute them. justify() is the
+/// good-machine half alone. Both read the region's lists and walk no
+/// netlist structure of their own. Cells are encoded from their truth
+/// tables as prime-implicant clauses, so unit propagation is as strong as
+/// three-valued simulation in both directions. Nets with neither a
+/// source nor a combinational driver are constant 0, as in the fault
+/// simulator.
 ///
-/// One instance serves a whole ATPG run: the solver and every per-net
-/// array are reused across calls. Not thread-safe.
+/// One instance and one solver serve a whole ATPG run (DESIGN.md §18):
+/// a net's good variable and its driver's cell are encoded the first
+/// time any call's region needs them and kept for the rest of the run.
+/// A faulty cone is guarded by its own activation literal and retired
+/// when a detect call needs another cone. Each solve decides only the
+/// call's cone and region variables. Not thread-safe.
 class SatAtpg {
  public:
   struct Config {
@@ -47,6 +54,7 @@ class SatAtpg {
     std::uint64_t detected = 0;
     std::uint64_t undetectable = 0;
     std::uint64_t aborted = 0;
+    std::uint64_t clauses = 0;  ///< added: good machine and cones
     double seconds = 0.0;
   };
 
@@ -74,8 +82,18 @@ class SatAtpg {
 
   static constexpr std::uint32_t kNoVar = 0xffffffffu;
 
-  void begin();
-  Podem::Outcome finish(std::vector<V3>* test);
+  /// Solves over decisions_ and assumptions_ within `budget` conflicts.
+  SatSolver::Result solve(long budget);
+  /// The call's outcome from its last solve; a Sat model's test is read
+  /// from the region's sources.
+  Podem::Outcome finish(SatSolver::Result r, const RelevantRegion& region,
+                        std::vector<V3>* test);
+  /// Retires the live cone and encodes the detect region's under a fresh
+  /// act_: the cone copy, the difference and active-path clauses, and
+  /// the observed clause.
+  void encode_cone(const RelevantRegion& region);
+  /// Retires the live cone, if any (SatSolver::retire).
+  void retire_cone();
   [[nodiscard]] SatLit constant(bool value) const {
     return SatLit::of(const_var_, value);
   }
@@ -83,10 +101,16 @@ class SatAtpg {
   /// request.
   SatLit good(NetId n);
   /// The good machine over the region: one variable per relevant net,
-  /// its relevant gates' cells, and undriven nets tied to 0.
+  /// its relevant gates' cells, and undriven nets tied to 0. Only what
+  /// no earlier call of the run encoded is added. The region's nets
+  /// become decisions of the call.
   void encode_good(const RelevantRegion& region);
+  /// The cell of `g`; with `guarded`, each clause under act_.
   void encode_cell(GateId g, std::span<const SatLit> ins,
-                   std::span<const SatLit> outs);
+                   std::span<const SatLit> outs, bool guarded);
+  /// Adds `clause`, under act_ if `guarded`.
+  void add(std::vector<SatLit>& clause, bool guarded);
+  void add_guarded(std::initializer_list<SatLit> lits);
   const std::array<std::vector<Cube>, kMaxCellOutputs>& cover(CellId cell);
 
   const Netlist& nl_;
@@ -95,13 +119,27 @@ class SatAtpg {
   SatSolver solver_;
   Stats stats_;
 
-  // Per-net state of the current instance, undone at the next begin()
-  // through good_nets_ and cone_nets_.
-  std::vector<std::uint32_t> good_var_;  // kNoVar when not encoded
-  std::vector<std::uint32_t> cone_var_;  // first of 3; kNoVar off the cone
+  // The run's good machine: per net slot, its variable (kNoVar until
+  // a region needs it); per gate slot, whether its cell is encoded.
+  std::vector<std::uint32_t> good_var_;
+  std::vector<std::uint8_t> gate_encoded_;
   std::uint32_t const_var_ = 0;
-  std::vector<NetId> good_nets_;     // every good net of the instance
+
+  // The live faulty cone: the victim and faulty value of the detect
+  // call that encoded it (invalid when none) and its activation literal.
+  // A cone net n with cone_var_[n] = i has its faulty value, difference
+  // d_n (good != faulty) and activity a_n in cone_vars_[3i], [3i + 1]
+  // and [3i + 2]. A detect call on another victim or value retires it.
+  NetId cone_victim_;
+  bool cone_value_ = false;
+  SatLit act_;
+  std::vector<std::uint32_t> cone_var_;  // kNoVar off the cone
+  std::vector<std::uint32_t> cone_vars_;
   std::vector<NetId> cone_nets_;     // every faulty cone net (victim aside)
+
+  // The current call.
+  std::vector<SatLit> assumptions_;  // [act_, victim's good value,] literals
+  std::vector<std::uint32_t> decisions_;
   std::vector<SatLit> clause_;       // scratch
   std::vector<SatLit> observed_;     // differences at observed nets
   std::vector<SatLit> path_;         // active-path clause scratch

@@ -464,6 +464,7 @@ class Procedure {
     report_.probe_sat_detected += c.sat_detected;
     report_.probe_sat_undetectable += c.sat_undetectable;
     report_.probe_sat_aborted += c.sat_aborted;
+    report_.probe_sat_clauses += c.sat_clauses;
     report_.probe_sat_seconds += c.sat_seconds;
     report_.probe_phase2_seconds += c.phase2_seconds;
     report_.probe_proof_memo_hits += c.proof_memo_hits;
@@ -544,7 +545,7 @@ class Procedure {
       }
       m.u_in_new = *u_in;
     }
-    const std::size_t u_in_cur = count_undet_internal(cur);
+    const std::size_t u_in_cur = u_in_of(cur);
     if (m.u_in_new >= u_in_cur) {
       // PDesign() gate (Section III-B): physical design only when the
       // undetectable internal fault count decreased.
@@ -897,7 +898,7 @@ class Procedure {
     if (arenas_.size() < static_cast<std::size_t>(workers)) {
       arenas_.resize(static_cast<std::size_t>(workers));
     }
-    const std::size_t u_in_cur = count_undet_internal(cur);
+    const std::size_t u_in_cur = u_in_of(cur);
     std::mutex mutex;
     std::unordered_set<std::string> claimed;
     // At most the iteration's reanalysis budget is speculated; the walk
@@ -1003,6 +1004,16 @@ class Procedure {
         }, options_.cancel);
   }
 
+  /// count_undet_internal(cur), counted once per base state: `cur` is
+  /// the state of state_version_ (only bump_version() moves either).
+  std::size_t u_in_of(const FlowState& cur) {
+    if (u_in_version_ != state_version_) {
+      u_in_cur_ = count_undet_internal(cur);
+      u_in_version_ = state_version_;
+    }
+    return u_in_cur_;
+  }
+
   /// A state was accepted: the base version changes, so every
   /// version-pinned speculative artifact of the old base is dead.
   void bump_version() {
@@ -1035,6 +1046,9 @@ class Procedure {
   /// Per-ladder-lane simulator arenas (slot 0 = the serial walk).
   std::vector<FaultSimArena> arenas_{1};
   std::uint64_t state_version_ = 0;
+  /// u_in_of()'s count and the version it belongs to.
+  std::uint64_t u_in_version_ = ~std::uint64_t{0};
+  std::size_t u_in_cur_ = 0;
   int reanalyses_left_ = 0;
   CandMetrics scratch_;
   /// Acceptance journal (no-op unless options_.checkpoint_dir is set).
@@ -1052,11 +1066,12 @@ class Procedure {
 std::string ResynthesisReport::probe_atpg_summary() const {
   return strfmt(
       "atpg (probes): phase 2 %.3fs, %llu handoffs, sat %llu D/%llu U/%llu A "
-      "(%.3fs), %llu proof memo hits",
+      "(%llu clauses, %.3fs), %llu proof memo hits",
       probe_phase2_seconds, static_cast<unsigned long long>(probe_podem_handoffs),
       static_cast<unsigned long long>(probe_sat_detected),
       static_cast<unsigned long long>(probe_sat_undetectable),
-      static_cast<unsigned long long>(probe_sat_aborted), probe_sat_seconds,
+      static_cast<unsigned long long>(probe_sat_aborted),
+      static_cast<unsigned long long>(probe_sat_clauses), probe_sat_seconds,
       static_cast<unsigned long long>(probe_proof_memo_hits));
 }
 

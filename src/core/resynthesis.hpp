@@ -109,13 +109,14 @@ struct ResynthesisReport {
   std::uint64_t probe_overlay_loads = 0;
   double probe_load_seconds = 0.0;
   /// Probe-side ATPG phase 2, aggregated the same way: the calls PODEM
-  /// handed to SAT, SAT's verdicts and time, phase-2 wall time, and the
-  /// calls the proof memo answered. The signoff `atpg:` line and
+  /// handed to SAT, SAT's verdicts, clauses and time, phase-2 wall time,
+  /// and the calls the proof memo answered. The signoff `atpg:` line and
   /// AtpgResult counters cover committed analyses only.
   std::uint64_t probe_podem_handoffs = 0;
   std::uint64_t probe_sat_detected = 0;
   std::uint64_t probe_sat_undetectable = 0;
   std::uint64_t probe_sat_aborted = 0;
+  std::uint64_t probe_sat_clauses = 0;
   double probe_sat_seconds = 0.0;
   double probe_phase2_seconds = 0.0;
   std::uint64_t probe_proof_memo_hits = 0;

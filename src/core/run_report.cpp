@@ -134,6 +134,7 @@ std::string RunReport::to_json() const {
     w.field("probe_sat_detected", r.probe_sat_detected);
     w.field("probe_sat_undetectable", r.probe_sat_undetectable);
     w.field("probe_sat_aborted", r.probe_sat_aborted);
+    w.field("probe_sat_clauses", r.probe_sat_clauses);
     w.field("probe_sat_seconds", r.probe_sat_seconds);
     w.field("probe_phase2_seconds", r.probe_phase2_seconds);
     w.field("probe_proof_memo_hits", r.probe_proof_memo_hits);
@@ -206,6 +207,7 @@ void publish_metrics(const ResynthesisReport& report,
   registry.add("resyn.probe_sat_detected", report.probe_sat_detected);
   registry.add("resyn.probe_sat_undetectable", report.probe_sat_undetectable);
   registry.add("resyn.probe_sat_aborted", report.probe_sat_aborted);
+  registry.add("resyn.probe_sat_clauses", report.probe_sat_clauses);
   registry.observe("resyn.probe_sat_seconds", report.probe_sat_seconds);
   registry.observe("resyn.probe_phase2_seconds", report.probe_phase2_seconds);
   registry.add("resyn.probe_proof_memo_hits", report.probe_proof_memo_hits);

@@ -1,83 +1,15 @@
 #include "src/place/placement.hpp"
 
+#include "src/place/site_map.hpp"
+
 #include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <deque>
-#include <limits>
 
 namespace dfmres {
 
 namespace {
-
-/// Row occupancy bitmap with nearest-free-run search.
-class SiteMap {
- public:
-  explicit SiteMap(const Floorplan& plan)
-      : rows_(plan.rows),
-        width_(plan.sites_per_row),
-        occupied_(static_cast<std::size_t>(plan.rows) * plan.sites_per_row,
-                  false) {}
-
-  [[nodiscard]] bool free_run(int x, int y, int w) const {
-    if (y < 0 || y >= rows_ || x < 0 || x + w > width_) return false;
-    for (int i = 0; i < w; ++i) {
-      if (occupied_[idx(x + i, y)]) return false;
-    }
-    return true;
-  }
-
-  void set(int x, int y, int w, bool value) {
-    for (int i = 0; i < w; ++i) occupied_[idx(x + i, y)] = value;
-  }
-
-  /// Finds the free run of width w nearest to (tx, ty); returns false if
-  /// the die is full.
-  bool find_nearest(int tx, int ty, int w, int& out_x, int& out_y) const {
-    double best = std::numeric_limits<double>::max();
-    bool found = false;
-    for (int dy = 0; dy < rows_; ++dy) {
-      if (found && dy > best) break;  // farther rows cannot win
-      for (const int y : {ty - dy, ty + dy}) {
-        if (y < 0 || y >= rows_) continue;
-        const int x = scan_row(y, tx, w);
-        if (x >= 0) {
-          const double cost = std::abs(x - tx) / 4.0 + dy;
-          if (cost < best) {
-            best = cost;
-            out_x = x;
-            out_y = y;
-            found = true;
-          }
-        }
-        if (dy == 0) break;  // ty - 0 == ty + 0
-      }
-    }
-    return found;
-  }
-
- private:
-  [[nodiscard]] std::size_t idx(int x, int y) const {
-    return static_cast<std::size_t>(y) * width_ + x;
-  }
-
-  /// Nearest x in row y with w free sites, scanning outward from tx.
-  [[nodiscard]] int scan_row(int y, int tx, int w) const {
-    tx = std::clamp(tx, 0, width_ - w);
-    for (int d = 0; d < width_; ++d) {
-      for (const int x : {tx - d, tx + d}) {
-        if (d != 0 && x == tx) continue;
-        if (free_run(x, y, w)) return x;
-      }
-      if (tx - d < 0 && tx + d > width_ - w) break;
-    }
-    return -1;
-  }
-
-  int rows_;
-  int width_;
-  std::vector<bool> occupied_;
-};
 
 double net_hpwl(const Netlist& nl, const Placement& pl, NetId net_id) {
   const auto& net = nl.net(net_id);
@@ -177,7 +109,7 @@ Placement global_place(const Netlist& nl, const Floorplan& plan,
           assert(false && "global_place: floorplan too small");
         }
       }
-      sites.set(real_x, y, w, true);
+      sites.occupy(real_x, y, w);
       pl.pos[g.value()] = {real_x, y};
       x += w;
     }
@@ -232,8 +164,8 @@ std::optional<Placement> incremental_place(const Netlist& nl,
                           previous.pos[g.value()].valid();
     if (survived) {
       pl.pos[g.value()] = previous.pos[g.value()];
-      sites.set(pl.pos[g.value()].x, pl.pos[g.value()].y,
-                nl.cell_of(g).width_sites, true);
+      sites.occupy(pl.pos[g.value()].x, pl.pos[g.value()].y,
+                   nl.cell_of(g).width_sites);
     } else {
       fresh.push_back(g);
     }
@@ -273,7 +205,7 @@ std::optional<Placement> incremental_place(const Netlist& nl,
     if (!sites.find_nearest(tx, ty, w, x, y)) {
       return std::nullopt;  // area constraint violated
     }
-    sites.set(x, y, w, true);
+    sites.occupy(x, y, w);
     pl.pos[g.value()] = {x, y};
   }
   return pl;

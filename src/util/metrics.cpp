@@ -69,6 +69,7 @@ void MetricsRegistry::absorb(const AtpgCounters& counters,
   add(p + "sat_detected", counters.sat_detected);
   add(p + "sat_undetectable", counters.sat_undetectable);
   add(p + "sat_aborted", counters.sat_aborted);
+  add(p + "sat_clauses", counters.sat_clauses);
   add(p + "proof_memo_hits", counters.proof_memo_hits);
   add(p + "memo_hits", counters.memo_hits);
   add(p + "verdict_stores", counters.verdict_stores);

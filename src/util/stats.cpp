@@ -89,6 +89,7 @@ void AtpgCounters::merge(const AtpgCounters& other) {
   sat_detected += other.sat_detected;
   sat_undetectable += other.sat_undetectable;
   sat_aborted += other.sat_aborted;
+  sat_clauses += other.sat_clauses;
   proof_memo_hits += other.proof_memo_hits;
   memo_hits += other.memo_hits;
   verdict_stores += other.verdict_stores;
@@ -107,7 +108,7 @@ std::string AtpgCounters::summary() const {
       "%llu backtracks, %llu replay drops, %llu podem skips, "
       "%llu cancelled, loads %llu full + %llu overlay (%llu frame bytes), "
       "sat %llu calls (%llu handoffs, %llu D/%llu U/%llu A, %llu conflicts, "
-      "%.3fs), %llu proof memo hits, phases %.3f/%.3f/%.3f/%.3fs, %d thread%s",
+      "%llu clauses, %.3fs), %llu proof memo hits, phases %.3f/%.3f/%.3f/%.3fs, %d thread%s",
       static_cast<unsigned long long>(patterns_simulated),
       static_cast<unsigned long long>(detect_mask_calls),
       static_cast<unsigned long long>(propagation_events),
@@ -123,7 +124,8 @@ std::string AtpgCounters::summary() const {
       static_cast<unsigned long long>(sat_detected),
       static_cast<unsigned long long>(sat_undetectable),
       static_cast<unsigned long long>(sat_aborted),
-      static_cast<unsigned long long>(sat_conflicts), sat_seconds,
+      static_cast<unsigned long long>(sat_conflicts),
+      static_cast<unsigned long long>(sat_clauses), sat_seconds,
       static_cast<unsigned long long>(proof_memo_hits), phase0_seconds, phase1_seconds, phase2_seconds, phase3_seconds,
       threads_used, threads_used == 1 ? "" : "s");
 }
@@ -140,7 +142,8 @@ std::string AtpgCounters::json() const {
       "\"overlay_verify_mismatches\": %llu, \"podem_handoffs\": %llu, "
       "\"sat_calls\": %llu, \"sat_conflicts\": %llu, "
       "\"sat_detected\": %llu, \"sat_undetectable\": %llu, "
-      "\"sat_aborted\": %llu, \"proof_memo_hits\": %llu, "
+      "\"sat_aborted\": %llu, \"sat_clauses\": %llu, "
+      "\"proof_memo_hits\": %llu, "
       "\"sat_seconds\": %.6f, "
       "\"load_seconds\": %.6f, "
       "\"phase0_seconds\": %.6f, \"phase1_seconds\": %.6f, "
@@ -165,6 +168,7 @@ std::string AtpgCounters::json() const {
       static_cast<unsigned long long>(sat_detected),
       static_cast<unsigned long long>(sat_undetectable),
       static_cast<unsigned long long>(sat_aborted),
+      static_cast<unsigned long long>(sat_clauses),
       static_cast<unsigned long long>(proof_memo_hits), sat_seconds,
       load_seconds, phase0_seconds, phase1_seconds, phase2_seconds,
       phase3_seconds, threads_used);

@@ -72,6 +72,7 @@ struct AtpgCounters {
   std::uint64_t sat_detected = 0;         ///< calls that found a test
   std::uint64_t sat_undetectable = 0;     ///< calls that proved UNSAT
   std::uint64_t sat_aborted = 0;          ///< calls past the conflict limit
+  std::uint64_t sat_clauses = 0;          ///< clauses added, good + per call
   /// Phase-2 calls answered Undetectable by the arena's proof memo.
   std::uint64_t proof_memo_hits = 0;
   std::uint64_t memo_hits = 0;      ///< faults resolved from the cache alone

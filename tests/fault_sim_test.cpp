@@ -445,8 +445,8 @@ TEST(EnginePinned, ColdRunOutputMatchesRecordedHash) {
     const char* block;
     std::uint64_t hash;
   } kPinned[] = {
-      {"sparc_tlu", 0x981086cb92deeb30ull},
-      {"tv80", 0xa81f680c99341758ull},
+      {"sparc_tlu", 0x4827125d8d472cc6ull},
+      {"tv80", 0x3c1fbd19df002ac9ull},
   };
   for (const auto& pin : kPinned) {
     for_each_cold_run(pin.block, [&](const AtpgResult& r, int threads) {

@@ -359,6 +359,7 @@ TEST(RunReportTest, ProbePhase2CountersReachReportMetricsAndCliLine) {
   resyn.probe_podem_handoffs = 12;
   resyn.probe_sat_detected = 2;
   resyn.probe_sat_undetectable = 10;
+  resyn.probe_sat_clauses = 480;
   resyn.probe_sat_seconds = 0.25;
   resyn.probe_phase2_seconds = 0.5;
   resyn.probe_proof_memo_hits = 7;
@@ -368,15 +369,17 @@ TEST(RunReportTest, ProbePhase2CountersReachReportMetricsAndCliLine) {
   EXPECT_TRUE(is_valid_json(json));
   EXPECT_NE(json.find("\"probe_podem_handoffs\":12"), std::string::npos);
   EXPECT_NE(json.find("\"probe_proof_memo_hits\":7"), std::string::npos);
+  EXPECT_NE(json.find("\"probe_sat_clauses\":480"), std::string::npos);
   MetricsRegistry registry;
   publish_metrics(resyn, registry);
   EXPECT_EQ(registry.counter("resyn.probe_sat_undetectable"), 10u);
   EXPECT_EQ(registry.counter("resyn.probe_proof_memo_hits"), 7u);
+  EXPECT_EQ(registry.counter("resyn.probe_sat_clauses"), 480u);
   EXPECT_DOUBLE_EQ(registry.histogram_stats("resyn.probe_phase2_seconds").sum(),
                    0.5);
   EXPECT_EQ(resyn.probe_atpg_summary(),
             "atpg (probes): phase 2 0.500s, 12 handoffs, sat 2 D/10 U/0 A "
-            "(0.250s), 7 proof memo hits");
+            "(480 clauses, 0.250s), 7 proof memo hits");
 }
 
 TEST(RunReportTest, PublishMetricsEmitsConvergenceSeries) {

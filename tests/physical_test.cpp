@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include "src/circuits/benchmarks.hpp"
 #include "src/layout/floorplan.hpp"
 #include "src/library/osu018.hpp"
 #include "src/place/placement.hpp"
+#include "src/place/site_map.hpp"
 #include "src/route/router.hpp"
 #include "src/sta/sta.hpp"
 #include "src/synth/mapper.hpp"
+#include "src/util/rng.hpp"
 
 namespace dfmres {
 namespace {
@@ -109,6 +113,133 @@ TEST(Placement, IncrementalFailsWhenDieFull) {
     nl.add_gate(lib->require("FAX1"), in);
   }
   EXPECT_FALSE(incremental_place(nl, before).has_value());
+}
+
+/// The legalizer's former site map: a row bitmap scanned site by site.
+/// SiteMap must choose exactly what this did.
+class BitmapSiteMap {
+ public:
+  explicit BitmapSiteMap(const Floorplan& plan)
+      : rows_(plan.rows),
+        width_(plan.sites_per_row),
+        occupied_(static_cast<std::size_t>(plan.rows) * plan.sites_per_row,
+                  false) {}
+
+  [[nodiscard]] bool free_run(int x, int y, int w) const {
+    if (y < 0 || y >= rows_ || x < 0 || x + w > width_) return false;
+    for (int i = 0; i < w; ++i) {
+      if (occupied_[idx(x + i, y)]) return false;
+    }
+    return true;
+  }
+
+  void occupy(int x, int y, int w) {
+    for (int i = 0; i < w; ++i) occupied_[idx(x + i, y)] = true;
+  }
+
+  bool find_nearest(int tx, int ty, int w, int& out_x, int& out_y) const {
+    double best = std::numeric_limits<double>::max();
+    bool found = false;
+    for (int dy = 0; dy < rows_; ++dy) {
+      if (found && dy > best) break;
+      for (const int y : {ty - dy, ty + dy}) {
+        if (y < 0 || y >= rows_) continue;
+        const int x = scan_row(y, tx, w);
+        if (x >= 0) {
+          const double cost = std::abs(x - tx) / 4.0 + dy;
+          if (cost < best) {
+            best = cost;
+            out_x = x;
+            out_y = y;
+            found = true;
+          }
+        }
+        if (dy == 0) break;
+      }
+    }
+    return found;
+  }
+
+ private:
+  [[nodiscard]] std::size_t idx(int x, int y) const {
+    return static_cast<std::size_t>(y) * width_ + x;
+  }
+
+  [[nodiscard]] int scan_row(int y, int tx, int w) const {
+    tx = std::clamp(tx, 0, width_ - w);
+    for (int d = 0; d < width_; ++d) {
+      for (const int x : {tx - d, tx + d}) {
+        if (d != 0 && x == tx) continue;
+        if (free_run(x, y, w)) return x;
+      }
+      if (tx - d < 0 && tx + d > width_ - w) break;
+    }
+    return -1;
+  }
+
+  int rows_;
+  int width_;
+  std::vector<bool> occupied_;
+};
+
+TEST(SiteMap, MatchesBitmapScanOnRandomOccupancy) {
+  Rng rng(31);
+  int legalized = 0, full = 0;
+  for (int round = 0; round < 200; ++round) {
+    Floorplan plan;
+    plan.rows = 1 + static_cast<int>(rng.below(12));
+    plan.sites_per_row = 8 + static_cast<int>(rng.below(60));
+    SiteMap sites(plan);
+    BitmapSiteMap bitmap(plan);
+    // Random blocks, overlapping ones included, as previous positions.
+    const int blocks = static_cast<int>(rng.below(
+        static_cast<std::uint64_t>(plan.rows * plan.sites_per_row / 3 + 1)));
+    for (int b = 0; b < blocks; ++b) {
+      const int w = 1 + static_cast<int>(rng.below(6));
+      if (w > plan.sites_per_row) continue;
+      const int x = static_cast<int>(
+          rng.below(static_cast<std::uint64_t>(plan.sites_per_row - w + 1)));
+      const int y = static_cast<int>(
+          rng.below(static_cast<std::uint64_t>(plan.rows)));
+      sites.occupy(x, y, w);
+      bitmap.occupy(x, y, w);
+    }
+    // Then legalize cells until the die is full, as incremental
+    // placement does, checking free_run at random spots on the way.
+    for (;;) {
+      const int w = 1 + static_cast<int>(rng.below(6));
+      const int tx = static_cast<int>(rng.below(
+                         static_cast<std::uint64_t>(plan.sites_per_row + 8))) -
+                     4;
+      const int ty = static_cast<int>(rng.below(
+          static_cast<std::uint64_t>(plan.rows)));
+      for (int probe = 0; probe < 4; ++probe) {
+        const int x = static_cast<int>(rng.below(
+                          static_cast<std::uint64_t>(plan.sites_per_row + 4))) -
+                      2;
+        const int y = static_cast<int>(rng.below(
+                          static_cast<std::uint64_t>(plan.rows + 2))) -
+                      1;
+        ASSERT_EQ(sites.free_run(x, y, w), bitmap.free_run(x, y, w))
+            << "round " << round << " (" << x << ", " << y << ") w " << w;
+      }
+      int ax = -1, ay = -1, bx = -1, by = -1;
+      const bool a = sites.find_nearest(tx, ty, w, ax, ay);
+      const bool b = bitmap.find_nearest(tx, ty, w, bx, by);
+      ASSERT_EQ(a, b) << "round " << round;
+      if (!a) {
+        ++full;
+        break;
+      }
+      ASSERT_EQ(ax, bx) << "round " << round << " target " << tx << "," << ty;
+      ASSERT_EQ(ay, by) << "round " << round << " target " << tx << "," << ty;
+      sites.occupy(ax, ay, w);
+      bitmap.occupy(bx, by, w);
+      ++legalized;
+    }
+  }
+  EXPECT_EQ(full, 200);
+  EXPECT_GT(legalized, 1000);
 }
 
 TEST(Router, SegmentsInsideGridAndUsageConsistent) {

@@ -47,9 +47,17 @@ std::vector<Clause> pigeonhole(std::uint32_t pigeons, std::uint32_t holes) {
 }
 
 void load(SatSolver& s, std::uint32_t vars, const std::vector<Clause>& cnf) {
-  s.reset();
+  s = SatSolver();
   for (std::uint32_t v = 0; v < vars; ++v) s.new_var();
   for (const Clause& c : cnf) s.add_clause(c);
+}
+
+/// Solves with no assumptions, deciding every variable.
+SatSolver::Result solve_all(SatSolver& s, long budget,
+                            const CancelToken* cancel = nullptr) {
+  std::vector<std::uint32_t> all(s.num_vars());
+  for (std::uint32_t v = 0; v < s.num_vars(); ++v) all[v] = v;
+  return s.solve({}, all, budget, cancel);
 }
 
 bool satisfies(const std::vector<Clause>& cnf,
@@ -71,15 +79,15 @@ std::vector<bool> model_of(const SatSolver& s, std::uint32_t vars) {
 TEST(SatSolver, PigeonholeFiveIntoFourIsUnsat) {
   SatSolver s;
   load(s, 20, pigeonhole(5, 4));
-  EXPECT_EQ(s.solve(1'000'000), SatSolver::Result::Unsat);
+  EXPECT_EQ(solve_all(s, 1'000'000), SatSolver::Result::Unsat);
   load(s, 20, pigeonhole(4, 5));
-  ASSERT_EQ(s.solve(1'000'000), SatSolver::Result::Sat);
+  ASSERT_EQ(solve_all(s, 1'000'000), SatSolver::Result::Sat);
   EXPECT_TRUE(satisfies(pigeonhole(4, 5), model_of(s, 20)));
 }
 
 TEST(SatSolver, Random3SatMatchesBruteForce) {
   Rng rng(2024);
-  SatSolver s;  // reused across instances, as the ATPG stage does
+  SatSolver s;
   int sat = 0, unsat = 0;
   for (int round = 0; round < 300; ++round) {
     const std::uint32_t n = 3 + static_cast<std::uint32_t>(rng.below(18));
@@ -99,7 +107,7 @@ TEST(SatSolver, Random3SatMatchesBruteForce) {
       brute = satisfies(cnf, model);
     }
     load(s, n, cnf);
-    const SatSolver::Result r = s.solve(1'000'000);
+    const SatSolver::Result r = solve_all(s, 1'000'000);
     ASSERT_NE(r, SatSolver::Result::Unknown) << "round " << round;
     ASSERT_EQ(r == SatSolver::Result::Sat, brute) << "round " << round;
     if (brute) {
@@ -124,12 +132,12 @@ TEST(SatSolver, RunsAreDeterministic) {
   }
   SatSolver a, b;
   load(a, 40, cnf);
-  const SatSolver::Result ra = a.solve(1'000'000);
-  // b first solves an unrelated instance: reuse must not leak state.
+  const SatSolver::Result ra = solve_all(a, 1'000'000);
+  // b first solves an unrelated instance, then starts over.
   load(b, 20, pigeonhole(5, 4));
-  (void)b.solve(1'000'000);
+  (void)solve_all(b, 1'000'000);
   load(b, 40, cnf);
-  const SatSolver::Result rb = b.solve(1'000'000);
+  const SatSolver::Result rb = solve_all(b, 1'000'000);
   EXPECT_EQ(ra, rb);
   EXPECT_EQ(a.conflicts(), b.conflicts());
   if (ra == SatSolver::Result::Sat) {
@@ -142,17 +150,17 @@ TEST(SatSolver, LearntClauseReductionKeepsProofsSound) {
   // compacts the arena, relinking every watch: the answers must survive.
   SatSolver s;
   load(s, 72, pigeonhole(9, 8));
-  EXPECT_EQ(s.solve(10'000'000), SatSolver::Result::Unsat);
+  EXPECT_EQ(solve_all(s, 10'000'000), SatSolver::Result::Unsat);
   EXPECT_GT(s.conflicts(), 10'000u) << "reduction never ran";
   load(s, 72, pigeonhole(8, 9));
-  ASSERT_EQ(s.solve(10'000'000), SatSolver::Result::Sat);
+  ASSERT_EQ(solve_all(s, 10'000'000), SatSolver::Result::Sat);
   EXPECT_TRUE(satisfies(pigeonhole(8, 9), model_of(s, 72)));
 }
 
 TEST(SatSolver, BudgetExhaustionIsUnknown) {
   SatSolver s;
   load(s, 56, pigeonhole(8, 7));
-  EXPECT_EQ(s.solve(10), SatSolver::Result::Unknown);
+  EXPECT_EQ(solve_all(s, 10), SatSolver::Result::Unknown);
   EXPECT_EQ(s.conflicts(), 11u);
 }
 
@@ -161,17 +169,100 @@ TEST(SatSolver, CancelledRunIsUnknown) {
   load(s, 90, pigeonhole(10, 9));
   CancelToken cancel;
   cancel.cancel();
-  EXPECT_EQ(s.solve(1'000'000'000, &cancel), SatSolver::Result::Unknown);
+  EXPECT_EQ(solve_all(s, 1'000'000'000, &cancel), SatSolver::Result::Unknown);
   EXPECT_LE(s.conflicts(), 64u);
 }
 
 TEST(SatSolver, ContradictoryUnitsAreUnsat) {
   SatSolver s;
-  s.reset();
   const std::uint32_t v = s.new_var();
   EXPECT_TRUE(s.add_clause({SatLit::pos(v)}));
   EXPECT_FALSE(s.add_clause({SatLit::neg(v)}));
-  EXPECT_EQ(s.solve(100), SatSolver::Result::Unsat);
+  EXPECT_EQ(solve_all(s, 100), SatSolver::Result::Unsat);
+}
+
+TEST(SatSolver, AssumptionsMatchBruteForce) {
+  // One solver across many activation groups, as an ATPG run uses it: a
+  // random base CNF, then groups of clauses guarded by ~act over the base
+  // and the group's own variables, each solved under act plus random
+  // base literals, then retired. Retired groups' variables come back
+  // through collections; every answer is checked by brute force.
+  Rng rng(2026);
+  int sat = 0, unsat = 0, allocated = 0;
+  for (int instance = 0; instance < 8; ++instance) {
+    SatSolver s;
+    const std::uint32_t n = 4 + static_cast<std::uint32_t>(rng.below(5));
+    std::vector<std::uint32_t> base;
+    for (std::uint32_t v = 0; v < n; ++v) base.push_back(s.new_var());
+    const auto random_clause = [&](const std::vector<std::uint32_t>& vars) {
+      Clause c;
+      for (int k = 0; k < 3; ++k) {
+        c.push_back(SatLit::of(vars[rng.below(vars.size())], rng.flip()));
+      }
+      return c;
+    };
+    std::vector<Clause> base_cnf(2 * n);
+    for (Clause& c : base_cnf) {
+      c = random_clause(base);
+      s.add_clause(c);
+    }
+    for (int group = 0; group < 150; ++group) {
+      const SatLit act = SatLit::pos(s.new_var());
+      std::vector<std::uint32_t> own;
+      const int k = 1 + static_cast<int>(rng.below(3));
+      for (int i = 0; i < k; ++i) own.push_back(s.new_var());
+      allocated += 1 + k;
+      std::vector<std::uint32_t> vars = base;
+      vars.insert(vars.end(), own.begin(), own.end());
+      std::vector<Clause> cnf = base_cnf;
+      const std::size_t m = 2 + rng.below(3 * vars.size());
+      for (std::size_t i = 0; i < m; ++i) {
+        Clause c = random_clause(vars);
+        cnf.push_back(c);
+        c.push_back(~act);
+        s.add_clause(c);
+      }
+      for (int solve = 0; solve < 3; ++solve) {
+        std::vector<SatLit> assumptions{act};
+        std::vector<Clause> with_units = cnf;
+        for (std::uint64_t a = rng.below(3); a > 0; --a) {
+          const SatLit l = SatLit::of(base[rng.below(n)], rng.flip());
+          assumptions.push_back(l);
+          with_units.push_back({l});
+        }
+        // Brute force over the base and the group's variables, indexed
+        // by position in `vars`.
+        bool brute = false;
+        std::vector<bool> model(s.num_vars());
+        for (std::uint32_t bits = 0; bits < (1u << vars.size()) && !brute;
+             ++bits) {
+          for (std::size_t i = 0; i < vars.size(); ++i) {
+            model[vars[i]] = (bits >> i) & 1u;
+          }
+          brute = satisfies(with_units, model);
+        }
+        const SatSolver::Result r = s.solve(assumptions, vars, 1'000'000);
+        ASSERT_NE(r, SatSolver::Result::Unknown);
+        ASSERT_EQ(r == SatSolver::Result::Sat, brute)
+            << "instance " << instance << " group " << group;
+        if (brute) {
+          for (const std::uint32_t v : vars) model[v] = s.model_value(v);
+          EXPECT_TRUE(satisfies(with_units, model))
+              << "instance " << instance << " group " << group;
+          ++sat;
+        } else {
+          ++unsat;
+        }
+      }
+      s.retire(act, own);
+    }
+    // Collected variables are reused, so the solver stays smaller than
+    // everything ever allocated.
+    EXPECT_LT(s.num_vars(), n + static_cast<std::uint32_t>(allocated));
+    allocated = 0;
+  }
+  EXPECT_GT(sat, 100);
+  EXPECT_GT(unsat, 100);
 }
 
 /// Completes a V3 assignment with random don't-cares.
@@ -259,6 +350,67 @@ void differential(std::string_view block) {
 }
 
 TEST(SatAtpg, AgreesWithPodemOnSparcTlu) { differential("sparc_tlu"); }
+
+TEST(SatAtpg, PersistentSolverMatchesFreshPerCall) {
+  // Every excitation of sparc_tlu through one run-long SatAtpg (good
+  // machine kept, cones retired and collected) and through a fresh
+  // SatAtpg per call: the outcomes must agree, and every test the
+  // persistent solver returns must detect its fault in a fresh fault
+  // simulator.
+  FlowOptions options;
+  options.atpg.num_threads = 1;
+  DesignFlow flow(osu018_library(), options);
+  const FlowState s =
+      flow.run_initial(build_benchmark("sparc_tlu").value()).value();
+  const CombView view = CombView::build(s.netlist);
+  RelevantRegion region(s.netlist, view);
+  SatAtpg persistent(s.netlist, view, {1'000'000});
+  FaultSimulator fsim(s.netlist, view);
+  Rng rng(5);
+  std::size_t detected = 0, undetectable = 0;
+  const auto fresh = [&](std::vector<V3>* test) {
+    SatAtpg once(s.netlist, view, {1'000'000});
+    return region.is_detect() ? once.detect(region, test)
+                              : once.justify(region, test);
+  };
+  for (const Fault& fault : s.universe.faults) {
+    for (const Excitation& exc :
+         build_excitations(fault, s.netlist, flow.udfm())) {
+      std::vector<CondLiteral> frame0;
+      for (const CondLiteral& lit : exc.lits) {
+        if (lit.frame == 0) frame0.push_back(lit);
+      }
+      std::vector<V3> t0, t1, scratch;
+      if (!frame0.empty()) {
+        region.justify(frame0);
+        const auto pj = persistent.justify(region, &t0);
+        ASSERT_EQ(pj, fresh(&scratch)) << "justify, victim "
+                                       << exc.victim.value();
+        if (pj == Podem::Outcome::Undetectable) continue;
+      }
+      region.detect(exc);
+      const auto pd = persistent.detect(region, &t1);
+      ASSERT_EQ(pd, fresh(&scratch)) << "detect, victim "
+                                     << exc.victim.value();
+      ASSERT_NE(pd, Podem::Outcome::Aborted);
+      if (pd == Podem::Outcome::Undetectable) {
+        ++undetectable;
+        continue;
+      }
+      ++detected;
+      const std::vector<TestPattern> test{
+          {complete(t0, view.sources.size(), rng),
+           complete(t1, view.sources.size(), rng)}};
+      fsim.load(test, 0, 1);
+      const Excitation one[] = {exc};
+      EXPECT_NE(fsim.detect_mask(one), 0u)
+          << "persistent SAT test misses victim " << exc.victim.value();
+    }
+  }
+  EXPECT_GT(detected, 100u);
+  EXPECT_GT(undetectable, 0u);
+  EXPECT_EQ(persistent.stats().aborted, 0u);
+}
 
 TEST(SatAtpg, AgreesWithPodemOnTv80) { differential("tv80"); }
 

@@ -191,6 +191,8 @@ TEST(Stats, AtpgCountersMergeAndFormat) {
   b.obs_propagations = 4;
   a.proof_memo_hits = 1;
   b.proof_memo_hits = 6;
+  a.sat_clauses = 40;
+  b.sat_clauses = 2;
   a.merge(b);
   EXPECT_EQ(a.patterns_simulated, 13u);
   EXPECT_EQ(a.podem_backtracks, 7u);
@@ -204,6 +206,8 @@ TEST(Stats, AtpgCountersMergeAndFormat) {
   EXPECT_NE(a.json().find("\"podem_backtracks\": 7"), std::string::npos);
   EXPECT_NE(a.summary().find("7 proof memo hits"), std::string::npos);
   EXPECT_NE(a.json().find("\"proof_memo_hits\": 7"), std::string::npos);
+  EXPECT_NE(a.summary().find("42 clauses"), std::string::npos);
+  EXPECT_NE(a.json().find("\"sat_clauses\": 42"), std::string::npos);
   // Metrics-registry only: the CLI line and the run-report schema stay
   // fixed.
   EXPECT_EQ(a.json().find("obs_propagations"), std::string::npos);
