@@ -48,6 +48,10 @@ expect_exit() {
 expect_exit 0 "$BUILD_DIR/tools/dfmres" list
 expect_exit 2 "$BUILD_DIR/tools/dfmres" list extra
 expect_exit 1 "$BUILD_DIR/tools/dfmres" resyn no_such_design
+# Resyn smoke: sparc_lsu's first phase-1 region is not convex, so some of
+# its re-maps close a combinational loop; they must be rejected as
+# candidates, not abort the run (~2 s).
+expect_exit 0 "$BUILD_DIR/tools/dfmres" resyn sparc_lsu --threads 1
 expect_exit 1 "$BUILD_DIR/tools/dfmres" request --socket /nonexistent.sock drain
 expect_exit 2 "$BUILD_DIR/tools/dfmres" resyn sparc_tlu --q 999
 expect_exit 2 "$BUILD_DIR/tools/dfmres" flow sparc_tlu --util bogus

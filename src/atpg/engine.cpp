@@ -85,11 +85,6 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
                           !options.seed_tests->empty() &&
                           options.seed_tests->front().frame0.size() ==
                               num_sources;
-  const auto untouched = [&](std::uint32_t i) {
-    return options.cone_untouched != nullptr &&
-           i < options.cone_untouched->size() &&
-           (*options.cone_untouched)[i] != 0;
-  };
 
   // Pre-build excitations; resolve trivially undetectable and cached
   // faults immediately. Distinct physical violations can induce the same
@@ -310,25 +305,6 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
     }
     result.counters.replay_drops +=
         static_cast<std::uint64_t>(before - targets.size());
-  }
-  // Cone-restricted retargeting: a fault the rewrite provably could not
-  // have changed and that the cache knows is detectable does not earn
-  // random patterns or a PODEM call just because a test set is being
-  // generated — replay already re-covered it above (the seed set is the
-  // previous compacted set), so the residual case is counted and
-  // trusted from the cache.
-  if (options.cone_untouched != nullptr && !targets.empty()) {
-    std::vector<std::uint32_t> still;
-    still.reserve(targets.size());
-    for (const std::uint32_t t : targets) {
-      if (untouched(work[t].fault) && work[t].prior == FaultStatus::Detected) {
-        status_of(t) = FaultStatus::Detected;
-        ++result.counters.podem_targets_skipped;
-      } else {
-        still.push_back(t);
-      }
-    }
-    targets = std::move(still);
   }
   phase_span.reset();
   result.counters.phase0_seconds = seconds_since(phase0_start);

@@ -42,13 +42,6 @@ struct AtpgOptions {
   /// source count (resynthesis never touches sequential gates, so the
   /// source vector is stable across its rewrites — see DESIGN.md).
   const std::vector<TestPattern>* seed_tests = nullptr;
-  /// Cone restriction: flags parallel to `universe.faults`, nonzero for
-  /// faults whose excitation and propagation cones are disjoint from
-  /// the rewritten region. After replay, a cone-untouched fault whose
-  /// cached status is Detected is trusted without spending random
-  /// patterns or PODEM on it (counted in `podem_targets_skipped`);
-  /// everything else is retargeted normally.
-  const std::vector<std::uint8_t>* cone_untouched = nullptr;
   /// Committed-baseline good frames for the phase-0 seed replay. When
   /// set (and the seed set matches the baseline's pattern count and
   /// frame width), each replay batch binds the baseline's frames

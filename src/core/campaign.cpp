@@ -8,7 +8,6 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -183,33 +182,34 @@ CampaignManifest table2_manifest() {
   return manifest;
 }
 
-namespace {
-
-bool ends_with(const std::string& s, const char* suffix) {
-  const std::size_t n = std::strlen(suffix);
-  return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-}
-
-/// Benchmark name -> generic RTL netlist (is_mapped=false); *.v file ->
-/// already-mapped netlist over the standard library (is_mapped=true).
-Expected<Netlist> load_campaign_design(const std::string& name,
-                                       bool* is_mapped) {
-  *is_mapped = false;
-  if (ends_with(name, ".v")) {
-    std::ifstream in(name);
-    if (!in) {
-      return make_status(StatusCode::kNotFound, "cannot open design '%s'",
-                         name.c_str());
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    auto nl = read_verilog(text.str(), osu018_library());
-    if (!nl) return nl.status();
-    *is_mapped = true;
-    return std::move(*nl);
+Expected<Netlist> load_design(const std::string& name, bool* is_mapped) {
+  *is_mapped = name.ends_with(".v");
+  if (!*is_mapped) return build_benchmark(name);
+  std::ifstream in(name);
+  if (!in) {
+    return make_status(StatusCode::kNotFound, "cannot open design '%s'",
+                       name.c_str());
   }
-  return build_benchmark(name);
+  std::ostringstream text;
+  text << in.rdbuf();
+  auto nl = read_verilog(text.str(), osu018_library());
+  if (!nl) {
+    return make_status(nl.code(), "%s: %s", name.c_str(),
+                       nl.status().message().c_str());
+  }
+  return std::move(*nl);
 }
+
+Expected<FlowState> analyze_design(DesignFlow& flow, Netlist design,
+                                   bool is_mapped) {
+  if (!is_mapped) return flow.run_initial(design);
+  const Floorplan plan = make_floorplan(design, flow.options().utilization);
+  Placement placement = global_place(design, plan, flow.options().place);
+  return flow.analyze(AnalysisRequest::placed(
+      std::move(design), std::move(placement), /*generate_tests=*/true));
+}
+
+namespace {
 
 /// Runs one job start to finish on the calling (runner) thread. Never
 /// throws past here: every failure lands in the result's status so the
@@ -246,7 +246,7 @@ CampaignJobResult run_job(const CampaignJobSpec& spec,
                           options.cancel);
 
   bool is_mapped = false;
-  auto design = load_campaign_design(spec.design, &is_mapped);
+  auto design = load_design(spec.design, &is_mapped);
   if (!design) {
     result.status = design.status();
     finish();
@@ -266,13 +266,8 @@ CampaignJobResult run_job(const CampaignJobSpec& spec,
   }
   DesignFlow flow(osu018_library(), flow_options);
 
-  Expected<FlowState> original = [&]() -> Expected<FlowState> {
-    if (!is_mapped) return flow.run_initial(*design);
-    const Floorplan plan = make_floorplan(*design, flow_options.utilization);
-    Placement placement = global_place(*design, plan, flow_options.place);
-    return flow.analyze(AnalysisRequest::placed(
-        std::move(*design), std::move(placement), /*generate_tests=*/true));
-  }();
+  Expected<FlowState> original =
+      analyze_design(flow, std::move(*design), is_mapped);
   if (!original) {
     result.status = original.status();
     finish();

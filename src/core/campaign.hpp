@@ -74,6 +74,22 @@ struct CampaignManifest {
 /// at the paper's q_max = 5 envelope.
 [[nodiscard]] CampaignManifest table2_manifest();
 
+/// Loads a job's design: a benchmark name gives its generic RTL netlist,
+/// a `*.v` path an already-mapped netlist over the standard library.
+/// `is_mapped` is set from the name alone (true for a `*.v` path), so a
+/// caller can tell the two failure kinds apart. kNotFound = unknown
+/// benchmark or unreadable file; a parse failure keeps the parser's
+/// code, with the file name in front of its message.
+[[nodiscard]] Expected<Netlist> load_design(const std::string& name,
+                                            bool* is_mapped);
+
+/// The initial test-generating analysis of a loaded design: run_initial
+/// on RTL; an already-mapped netlist is placed in a fresh floorplan at
+/// the flow's utilization and analyzed as is.
+[[nodiscard]] Expected<FlowState> analyze_design(DesignFlow& flow,
+                                                 Netlist design,
+                                                 bool is_mapped);
+
 struct CampaignOptions {
   /// Jobs in flight at once (clamped to [1, |jobs|]).
   int max_parallel_jobs = 1;

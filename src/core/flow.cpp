@@ -65,39 +65,16 @@ Expected<FlowState> DesignFlow::analyze(AnalysisRequest request) {
                          "analyze: die cannot absorb the edit to '%s'",
                          request.netlist.name().c_str());
     }
-    // Gates without a position in the previous placement are exactly the
-    // ones the edit introduced (ids are never reused), so the rewritten
-    // region is recoverable without the caller spelling it out.
-    std::vector<GateId> changed;
-    const Placement& previous = *request.previous;
-    for (GateId g : request.netlist.live_gates()) {
-      if (g.value() >= previous.pos.size() ||
-          !previous.pos[g.value()].valid()) {
-        changed.push_back(g);
-      }
-    }
     return analyze_committed(std::move(request.netlist),
-                             std::move(*placement), request.generate_tests,
-                             &changed);
+                             std::move(*placement), request.generate_tests);
   }
   return analyze_committed(std::move(request.netlist),
                            std::move(*request.placement),
-                           request.generate_tests,
-                           /*changed_gates=*/nullptr);
+                           request.generate_tests);
 }
 
-FlowState DesignFlow::analyze_committed(
-    Netlist netlist, Placement placement, bool generate_tests,
-    const std::vector<GateId>* changed_gates) {
-  // Cone bookkeeping: accumulate the rewrites since the last seed epoch;
-  // an edit of unknown extent poisons cone trust until re-anchored.
-  if (changed_gates) {
-    changed_since_seed_.insert(changed_since_seed_.end(),
-                               changed_gates->begin(), changed_gates->end());
-  } else {
-    changed_unknown_ = true;
-  }
-
+FlowState DesignFlow::analyze_committed(Netlist netlist, Placement placement,
+                                        bool generate_tests) {
   TraceSpan analyze_span("flow.analyze", "flow");
   if (analyze_span.active()) {
     analyze_span.arg("gates",
@@ -118,13 +95,8 @@ FlowState DesignFlow::analyze_committed(
   AtpgOptions atpg_options = options_.atpg;
   atpg_options.generate_tests = generate_tests;
   atpg_options.arena = &arena_;
-  std::vector<std::uint8_t> untouched;
-  if (options_.warm_start) {
-    if (!seed_tests_.empty()) atpg_options.seed_tests = &seed_tests_;
-    if (generate_tests && !changed_unknown_ && !seed_tests_.empty()) {
-      untouched = cone_untouched_flags(netlist, universe, changed_since_seed_);
-      atpg_options.cone_untouched = &untouched;
-    }
+  if (options_.warm_start && !seed_tests_.empty()) {
+    atpg_options.seed_tests = &seed_tests_;
   }
   AtpgResult atpg = run_atpg(netlist, universe, *udfm_, atpg_options, &cache_);
   atpg_totals_.merge(atpg.counters);
@@ -132,13 +104,8 @@ FlowState DesignFlow::analyze_committed(
   progress.analyses.fetch_add(1, std::memory_order_relaxed);
   progress.faults_classified.fetch_add(universe.size(),
                                        std::memory_order_relaxed);
-  if (generate_tests) {
-    // Re-anchor the seed epoch: these tests become the replay set and
-    // the rewritten-gate ledger restarts from this design point.
-    seed_tests_ = atpg.tests;
-    changed_since_seed_.clear();
-    changed_unknown_ = false;
-  }
+  // These tests become the replay set of the next warm analysis.
+  if (generate_tests) seed_tests_ = atpg.tests;
   // This netlist is now the committed design probes will diff against;
   // re-anchor the shared seed frames onto it.
   rebase_overlays(netlist);
@@ -265,77 +232,6 @@ void DesignFlow::rebase_overlays(const Netlist& nl) {
 
 void DesignFlow::commit_updates(const FaultStatusCache& updates) {
   cache_.merge(updates);
-}
-
-std::vector<std::uint8_t> DesignFlow::cone_untouched_flags(
-    const Netlist& nl, const FaultUniverse& universe,
-    std::span<const GateId> changed_gates) {
-  // A: nets whose value could differ after an arbitrary rewrite of the
-  // changed gates — the fanout closure of their outputs, stopping at
-  // sequential cells (full-scan frames are independent scan loads).
-  std::vector<std::uint8_t> in_a(nl.net_capacity(), 0);
-  std::vector<NetId> stack;
-  const auto push_a = [&](NetId n) {
-    if (n.valid() && n.value() < in_a.size() && !in_a[n.value()]) {
-      in_a[n.value()] = 1;
-      stack.push_back(n);
-    }
-  };
-  for (GateId g : changed_gates) {
-    if (!nl.gate_alive(g)) continue;
-    for (NetId out : nl.gate(g).outputs) push_a(out);
-  }
-  while (!stack.empty()) {
-    const NetId n = stack.back();
-    stack.pop_back();
-    for (const PinRef& sink : nl.net(n).sinks) {
-      if (nl.cell_of(sink.gate).sequential) continue;
-      for (NetId out : nl.gate(sink.gate).outputs) push_a(out);
-    }
-  }
-  // B: nets that can reach A (backward closure over combinational
-  // gates). A fault whose victim is outside B cannot propagate through
-  // any changed value — not even via side inputs, because a path gate
-  // with a side input in A has its output in A, which the victim would
-  // then reach. So victim ∉ B (and aggressor ∉ B for bridges) plus an
-  // unchanged owner makes excitation and propagation both invariant.
-  std::vector<std::uint8_t> in_b = in_a;
-  for (std::uint32_t v = 0; v < in_a.size(); ++v) {
-    if (in_a[v]) stack.push_back(NetId{v});
-  }
-  while (!stack.empty()) {
-    const NetId n = stack.back();
-    stack.pop_back();
-    const auto& net = nl.net(n);
-    if (!net.has_gate_driver()) continue;
-    if (nl.cell_of(net.driver_gate).sequential) continue;
-    for (NetId f : nl.gate(net.driver_gate).fanin) {
-      if (f.valid() && f.value() < in_b.size() && !in_b[f.value()]) {
-        in_b[f.value()] = 1;
-        stack.push_back(f);
-      }
-    }
-  }
-  std::vector<std::uint8_t> changed_gate(nl.gate_capacity(), 0);
-  for (GateId g : changed_gates) {
-    if (g.value() < changed_gate.size()) changed_gate[g.value()] = 1;
-  }
-
-  std::vector<std::uint8_t> untouched(universe.size(), 0);
-  const auto net_touched = [&](NetId n) {
-    return n.valid() && (n.value() >= in_b.size() || in_b[n.value()] != 0);
-  };
-  for (std::uint32_t i = 0; i < universe.size(); ++i) {
-    const Fault& f = universe.faults[i];
-    bool touched = net_touched(f.victim);
-    if (f.kind == FaultKind::Bridge) touched = touched || net_touched(f.aggressor);
-    if (f.owner.valid() && (f.owner.value() >= changed_gate.size() ||
-                            changed_gate[f.owner.value()] != 0)) {
-      touched = true;
-    }
-    untouched[i] = touched ? 0 : 1;
-  }
-  return untouched;
 }
 
 std::vector<CellId> DesignFlow::cells_by_internal_faults() const {

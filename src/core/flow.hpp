@@ -2,7 +2,6 @@
 
 #include <memory>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "src/atpg/engine.hpp"
@@ -23,10 +22,9 @@ struct FlowOptions {
   RouteOptions route;
   StaOptions sta;
   /// Warm-start incremental ATPG across reanalyses: replay the last
-  /// committed compacted test set before random patterns / PODEM, and
-  /// trust cached detections of faults structurally untouched by the
-  /// rewrites since that test set was generated (see DESIGN.md,
-  /// "Incremental-ATPG contract"). false = every analysis runs cold.
+  /// committed compacted test set before random patterns / PODEM (see
+  /// DESIGN.md, "Incremental-ATPG contract"). false = every analysis
+  /// runs cold.
   bool warm_start = true;
   /// Copy-on-write probe overlays: keep the committed design's seed-test
   /// good frames (a SimBaseline) alive across probes, so each probe's
@@ -74,11 +72,8 @@ struct FlowState {
 
 /// One committed analysis of an edited mapped netlist. Exactly one of
 /// `previous` / `placement` must be set: `previous` runs incremental
-/// placement inside that placement's frozen floorplan (the edit is
-/// recovered from the placement diff, keeping cone trust alive);
-/// `placement` supplies an explicit, already-legal placement (the edit's
-/// extent is then unknown, which withholds cone trust until the next
-/// test-generating analysis re-anchors the seed epoch). `previous` is a
+/// placement inside that placement's frozen floorplan; `placement`
+/// supplies an explicit, already-legal placement. `previous` is a
 /// borrowed pointer and must outlive the analyze() call.
 struct AnalysisRequest {
   Netlist netlist;
@@ -179,7 +174,7 @@ class ProbeSession {
 /// DESIGN.md).
 ///
 /// Two entry points: `analyze(AnalysisRequest)` for committed work (the
-/// flow's cache, seed tests and cone ledger advance) and `probe()` for a
+/// flow's cache and seed tests advance) and `probe()` for a
 /// ProbeSession of speculative evaluations (the flow is read-only until
 /// `commit_probe`).
 class DesignFlow {
@@ -221,9 +216,9 @@ class DesignFlow {
   /// good frames) onto `nl`, which must be the flow's newly committed
   /// netlist. analyze() does this automatically; callers that commit a
   /// probed FlowState directly (stash-and-commit in resynthesis) must
-  /// call it themselves after note_changed_gates. Folds the structural
-  /// diff in place when possible, rebuilds otherwise; clears the
-  /// baseline when overlays are disabled or there is no seed set.
+  /// call it themselves. Folds the structural diff in place when
+  /// possible, rebuilds otherwise; clears the baseline when overlays are
+  /// disabled or there is no seed set.
   void rebase_overlays(const Netlist& nl);
 
   /// Folds a probe overlay into the flow cache (commit_probe's cache
@@ -232,22 +227,6 @@ class DesignFlow {
   /// computed against the cache as it is now: commit before any other
   /// write to the cache, or drop the overlay.
   void commit_updates(const FaultStatusCache& updates);
-
-  /// Registers rewritten gates with the cone ledger. Needed when a
-  /// probed candidate is committed without another committed analyze()
-  /// (which would have discovered them from the placement diff).
-  void note_changed_gates(std::span<const GateId> gates) {
-    changed_since_seed_.insert(changed_since_seed_.end(), gates.begin(),
-                               gates.end());
-  }
-
-  /// Per-fault flags (parallel to `universe.faults`, 1 = untouched) for
-  /// faults whose excitation and propagation provably cannot involve any
-  /// of `changed_gates`: the victim (and bridge aggressor) cannot reach
-  /// the fanout cone of the changed gates, and the owner is unchanged.
-  [[nodiscard]] static std::vector<std::uint8_t> cone_untouched_flags(
-      const Netlist& nl, const FaultUniverse& universe,
-      std::span<const GateId> changed_gates);
 
   /// Compacted test set of the last committed test-generating analysis;
   /// replayed by later warm reanalyses (phase 0 of run_atpg).
@@ -282,14 +261,10 @@ class DesignFlow {
  private:
   friend class ProbeSession;
 
-  /// Shared tail of the committed paths. `changed_gates` (nullable) =
-  /// gates introduced by the rewrite being analyzed, used to maintain
-  /// the cone bookkeeping; null = the edit is unknown, which disables
-  /// cone trust until the next test-generating run re-anchors the seed
-  /// epoch.
-  [[nodiscard]] FlowState analyze_committed(
-      Netlist netlist, Placement placement, bool generate_tests,
-      const std::vector<GateId>* changed_gates);
+  /// Shared tail of the committed paths.
+  [[nodiscard]] FlowState analyze_committed(Netlist netlist,
+                                            Placement placement,
+                                            bool generate_tests);
 
   /// Probe implementations behind ProbeSession. `counters` (nullable)
   /// receives the run's ATPG counters on success.
@@ -316,13 +291,6 @@ class DesignFlow {
   /// by every probe's copy-on-write replay (see FlowOptions::
   /// probe_overlays). Rebased by rebase_overlays on each commit.
   SimBaseline probe_baseline_;
-  /// Gates rewritten since `seed_tests_` was captured; the cone of these
-  /// gates is what a warm test-generating run must re-target.
-  std::vector<GateId> changed_since_seed_;
-  /// True when an edit of unknown extent was analyzed (an explicit
-  /// placement on a changed netlist): cone trust is then withheld until
-  /// the seed epoch is re-anchored.
-  bool changed_unknown_ = false;
   AtpgCounters atpg_totals_;
 };
 

@@ -296,10 +296,11 @@ class Procedure {
     }
 
     // Final sign-off analysis with test generation. Routed through the
-    // incremental path (identity incremental placement) so a warm flow
-    // can replay its seed tests and cone-restrict the PODEM retargeting
-    // to the accumulated rewrites. Sign-off is committed work: it runs
-    // to completion even when the deadline already expired.
+    // incremental path (identity incremental placement), which keeps the
+    // committed placement; a warm flow replays its seed tests first.
+    // Every fault it reports Detected is detected by the test set it
+    // emits. Sign-off is committed work: it runs to completion even when
+    // the deadline already expired.
     Expected<FlowState> final_state = [&]() -> Expected<FlowState> {
       const ScopedTimer t(report_.signoff_seconds);
       TraceSpan span("resyn.signoff", "resyn");
@@ -352,8 +353,12 @@ class Procedure {
 
   /// Maps the region over the allowed cell subset and splices it in.
   /// kUnsatisfiable = the allowed subset cannot implement the region (a
-  /// normal ladder outcome); other codes indicate a malformed region
-  /// (possible only when replaying a stale journal).
+  /// normal ladder outcome), which includes a splice that closes a
+  /// combinational loop: a region need not be convex, and when one of
+  /// its outputs reaches one of its inputs through outside gates, a
+  /// re-mapping can route that path back into itself. Other codes
+  /// indicate a malformed region (possible only when replaying a stale
+  /// journal).
   Expected<Netlist> build_candidate(const FlowState& s,
                                     std::span<const GateId> region,
                                     const std::vector<bool>& banned) {
@@ -366,6 +371,11 @@ class Procedure {
     if (!mapped) return mapped.status();
     auto spliced = replace_region(copy, *sub, *mapped);
     if (!spliced) return spliced.status();
+    if (copy.has_combinational_cycle()) {
+      return make_status(StatusCode::kUnsatisfiable,
+                         "resynthesis: the re-mapped region closes a "
+                         "combinational loop");
+    }
     return copy;
   }
 
@@ -607,13 +617,6 @@ class Procedure {
       const std::string sig = sig_key(*candidate);
       if (const auto it = stash_.find(sig); it != stash_.end()) {
         flow_.commit_updates(it->second.overlay);
-        // Register the spliced-in gates (ids >= the base capacity) with
-        // the cone ledger, as a committed reanalyze would have.
-        std::vector<GateId> changed;
-        for (GateId g : it->second.state.netlist.live_gates()) {
-          if (g.value() >= cur.netlist.gate_capacity()) changed.push_back(g);
-        }
-        flow_.note_changed_gates(changed);
         ++report_.stash_commits;
         FlowState state = std::move(it->second.state);
         stash_.erase(it);

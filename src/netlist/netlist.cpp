@@ -175,12 +175,10 @@ double Netlist::total_area() const {
   return area;
 }
 
-std::vector<GateId> Netlist::topological_order() const {
-  // Kahn's algorithm over combinational gates; sequential gate outputs and
-  // primary inputs are sources.
+std::vector<GateId> Netlist::kahn_order(std::size_t& num_comb) const {
   std::vector<std::uint32_t> pending(gates_.size(), 0);
   std::vector<GateId> ready;
-  std::size_t num_comb = 0;
+  num_comb = 0;
   for (std::uint32_t i = 0; i < gates_.size(); ++i) {
     const Gate& g = gates_[i];
     if (g.dead || lib_->cell(g.cell).sequential) continue;
@@ -211,15 +209,26 @@ std::vector<GateId> Netlist::topological_order() const {
       }
     }
   }
+  return order;
+}
+
+std::vector<GateId> Netlist::topological_order() const {
+  std::size_t num_comb = 0;
+  std::vector<GateId> order = kahn_order(num_comb);
   if (order.size() != num_comb) {
     // Unreachable for validated netlists: validate() reports cycles, and
-    // every construction path (parser, mapper, builder) validates or
-    // builds acyclically before this is called.
+    // every construction path (parser, mapper, builder, resynthesis
+    // splice) validates or rejects cycles before this is called.
     fatal_invariant(
         "netlist '%s': combinational cycle detected (%zu of %zu ordered)",
         name_.c_str(), order.size(), num_comb);
   }
   return order;
+}
+
+bool Netlist::has_combinational_cycle() const {
+  std::size_t num_comb = 0;
+  return kahn_order(num_comb).size() != num_comb;
 }
 
 std::vector<std::string> Netlist::validate() const {
@@ -280,41 +289,12 @@ std::vector<std::string> Netlist::validate() const {
     }
   }
   // Combinational cycles (only meaningful once the structure above is
-  // consistent): run the same Kahn peeling as topological_order() and
-  // report how many gates never became ready. This is what makes cyclic
+  // consistent): the same Kahn peeling as topological_order(), reporting
+  // how many gates never became ready. This is what makes cyclic
   // structural Verilog a parse error instead of a downstream abort.
   if (problems.empty()) {
-    std::vector<std::uint32_t> pending(gates_.size(), 0);
-    std::vector<std::uint32_t> ready;
     std::size_t num_comb = 0;
-    for (std::uint32_t i = 0; i < gates_.size(); ++i) {
-      const Gate& g = gates_[i];
-      if (g.dead || lib_->cell(g.cell).sequential) continue;
-      ++num_comb;
-      for (NetId in : g.fanin) {
-        const Net& net = nets_[in.value()];
-        if (net.has_gate_driver() &&
-            !lib_->cell(gates_[net.driver_gate.value()].cell).sequential) {
-          ++pending[i];
-        }
-      }
-      if (pending[i] == 0) ready.push_back(i);
-    }
-    std::size_t ordered = 0;
-    while (!ready.empty()) {
-      const std::uint32_t g = ready.back();
-      ready.pop_back();
-      ++ordered;
-      for (NetId out : gates_[g].outputs) {
-        for (const PinRef& sink : nets_[out.value()].sinks) {
-          const Gate& sg = gates_[sink.gate.value()];
-          if (sg.dead || lib_->cell(sg.cell).sequential) continue;
-          if (--pending[sink.gate.value()] == 0) {
-            ready.push_back(sink.gate.value());
-          }
-        }
-      }
-    }
+    const std::size_t ordered = kahn_order(num_comb).size();
     if (ordered != num_comb) {
       problems.push_back(strfmt("combinational cycle through %zu gate(s)",
                                 num_comb - ordered));

@@ -131,6 +131,10 @@ class Netlist {
   /// outputs act as sources). Aborts on a combinational cycle.
   [[nodiscard]] std::vector<GateId> topological_order() const;
 
+  /// True when the combinational gates form a loop: the non-fatal form
+  /// of the check topological_order() aborts on.
+  [[nodiscard]] bool has_combinational_cycle() const;
+
   /// Structural sanity check; returns a human-readable list of problems
   /// (empty = valid).
   [[nodiscard]] std::vector<std::string> validate() const;
@@ -142,6 +146,11 @@ class Netlist {
 
  private:
   void detach_sink(NetId net, PinRef pin);
+  /// Kahn's peeling of the live combinational gates (sequential outputs
+  /// and primary inputs are sources): the gates it orders, in order.
+  /// `num_comb` receives the combinational gate count; a shorter order
+  /// means a cycle.
+  std::vector<GateId> kahn_order(std::size_t& num_comb) const;
 
   std::shared_ptr<const Library> lib_;
   std::string name_;

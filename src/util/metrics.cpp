@@ -55,7 +55,6 @@ void MetricsRegistry::absorb(const AtpgCounters& counters,
   add(p + "obs_propagations", counters.obs_propagations);
   add(p + "podem_backtracks", counters.podem_backtracks);
   add(p + "replay_drops", counters.replay_drops);
-  add(p + "podem_targets_skipped", counters.podem_targets_skipped);
   add(p + "cancelled_targets", counters.cancelled_targets);
   add(p + "frame_bytes_materialized", counters.frame_bytes_materialized);
   add(p + "full_loads", counters.full_loads);

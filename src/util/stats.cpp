@@ -75,7 +75,6 @@ void AtpgCounters::merge(const AtpgCounters& other) {
   obs_propagations += other.obs_propagations;
   podem_backtracks += other.podem_backtracks;
   replay_drops += other.replay_drops;
-  podem_targets_skipped += other.podem_targets_skipped;
   cancelled_targets += other.cancelled_targets;
   frame_bytes_materialized += other.frame_bytes_materialized;
   full_loads += other.full_loads;
@@ -105,7 +104,7 @@ void AtpgCounters::merge(const AtpgCounters& other) {
 std::string AtpgCounters::summary() const {
   return strfmt(
       "atpg: %llu patterns, %llu detect_mask calls, %llu prop events, "
-      "%llu backtracks, %llu replay drops, %llu podem skips, "
+      "%llu backtracks, %llu replay drops, "
       "%llu cancelled, loads %llu full + %llu overlay (%llu frame bytes), "
       "sat %llu calls (%llu handoffs, %llu D/%llu U/%llu A, %llu conflicts, "
       "%llu clauses, %.3fs), %llu proof memo hits, phases %.3f/%.3f/%.3f/%.3fs, %d thread%s",
@@ -114,7 +113,6 @@ std::string AtpgCounters::summary() const {
       static_cast<unsigned long long>(propagation_events),
       static_cast<unsigned long long>(podem_backtracks),
       static_cast<unsigned long long>(replay_drops),
-      static_cast<unsigned long long>(podem_targets_skipped),
       static_cast<unsigned long long>(cancelled_targets),
       static_cast<unsigned long long>(full_loads),
       static_cast<unsigned long long>(overlay_loads),
@@ -134,7 +132,7 @@ std::string AtpgCounters::json() const {
   return strfmt(
       "{\"patterns_simulated\": %llu, \"detect_mask_calls\": %llu, "
       "\"propagation_events\": %llu, \"podem_backtracks\": %llu, "
-      "\"replay_drops\": %llu, \"podem_targets_skipped\": %llu, "
+      "\"replay_drops\": %llu, "
       "\"cancelled_targets\": %llu, "
       "\"frame_bytes_materialized\": %llu, \"full_loads\": %llu, "
       "\"overlay_loads\": %llu, \"overlay_dirty_nets\": %llu, "
@@ -154,7 +152,6 @@ std::string AtpgCounters::json() const {
       static_cast<unsigned long long>(propagation_events),
       static_cast<unsigned long long>(podem_backtracks),
       static_cast<unsigned long long>(replay_drops),
-      static_cast<unsigned long long>(podem_targets_skipped),
       static_cast<unsigned long long>(cancelled_targets),
       static_cast<unsigned long long>(frame_bytes_materialized),
       static_cast<unsigned long long>(full_loads),

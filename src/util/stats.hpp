@@ -58,7 +58,6 @@ struct AtpgCounters {
   std::uint64_t obs_propagations = 0;
   std::uint64_t podem_backtracks = 0;     ///< deterministic-search backtracks
   std::uint64_t replay_drops = 0;         ///< faults dropped by seed replay
-  std::uint64_t podem_targets_skipped = 0;///< cone-untouched cached targets
   std::uint64_t cancelled_targets = 0;    ///< left Unknown by cancellation
   std::uint64_t frame_bytes_materialized = 0;  ///< good-frame bytes written
   std::uint64_t full_loads = 0;           ///< O(netlist) batch loads

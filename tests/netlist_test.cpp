@@ -53,6 +53,12 @@ TEST_F(NetlistTest, TopologicalOrderRespectsDependencies) {
   };
   EXPECT_LT(pos(g1), pos(g2));
   EXPECT_LT(pos(g2), pos(g3));
+  EXPECT_FALSE(nl_.has_combinational_cycle());
+
+  // Feeding g3's output back into g1 closes a loop through all three.
+  nl_.rewire_fanin(g1, 1, nl_.gate(g3).outputs[0]);
+  EXPECT_TRUE(nl_.has_combinational_cycle());
+  EXPECT_FALSE(nl_.validate().empty());
 }
 
 TEST_F(NetlistTest, SequentialGatesAreOrderBoundaries) {
@@ -69,6 +75,10 @@ TEST_F(NetlistTest, SequentialGatesAreOrderBoundaries) {
   // Sources: PI + DFF Q. Observations: PO + DFF D.
   EXPECT_EQ(view.sources.size(), 2u);
   EXPECT_EQ(view.observe.size(), 2u);
+
+  // A loop through a flop is not combinational.
+  nl_.rewire_fanin(inv, 0, nl_.gate(inv2).outputs[0]);
+  EXPECT_FALSE(nl_.has_combinational_cycle());
 }
 
 TEST_F(NetlistTest, RemoveGateDetachesAndKillsDanglingNets) {

@@ -1,8 +1,9 @@
 // Warm-start incremental ATPG: the optimizations (seed-test replay,
-// cone-restricted retargeting, candidate dedup, parallel ladder, shared
-// simulator arenas) are pure accelerations — every observable result
-// must be identical to the cold serial reference. These tests pin that
-// contract on full pipelines over two different seed blocks.
+// candidate dedup, parallel ladder, shared simulator arenas) are pure
+// accelerations — every observable result must be identical to the cold
+// serial reference. These tests pin that contract on full pipelines over
+// two different seed blocks, and check that the test set a test-
+// generating analysis emits detects every fault it reports Detected.
 //
 // Bit-identical status comparison is only meaningful when no fault hits
 // the search limit (an Aborted in one mode can be a Detected in the
@@ -15,6 +16,7 @@
 #include <sstream>
 #include <string>
 
+#include "src/atpg/excitation.hpp"
 #include "src/circuits/benchmarks.hpp"
 #include "src/circuits/builder.hpp"
 #include "src/core/flow.hpp"
@@ -160,8 +162,8 @@ TEST(WarmStart, SerialVsParallelLadderIdentity) {
 }
 
 /// The FaultStatusCache invariant, end to end: after a
-/// function-preserving rewrite, a warm re-analysis (replay + cone trust
-/// + cache) classifies every fault exactly as a cold flow that has never
+/// function-preserving rewrite, a warm re-analysis (replay + cache)
+/// classifies every fault exactly as a cold flow that has never
 /// seen the design.
 void expect_cached_statuses_match_cold(const Netlist& rtl) {
   DesignFlow warm_flow(osu018_library(), flow_options(true, 1));
@@ -199,15 +201,59 @@ TEST(WarmStart, CachedStatusesMatchColdRecomputeOnSparcTlu) {
 TEST(WarmStart, ReplayAndConeCountersAdvance) {
   const PipelineRun warm =
       run_pipeline(block_a(), /*warm=*/true, /*parallel_ladder=*/false, 1);
-  // Seed replay resolved at least some faults without random patterns,
-  // and the sign-off re-analysis trusted cached detections outside the
-  // rewritten cones instead of re-running PODEM on them.
+  // Seed replay resolved at least some faults without random patterns.
   EXPECT_GT(warm.totals.replay_drops, 0u);
-  EXPECT_GT(warm.totals.podem_targets_skipped, 0u);
   const PipelineRun cold =
       run_pipeline(block_a(), /*warm=*/false, /*parallel_ladder=*/false, 1);
   EXPECT_EQ(cold.totals.replay_drops, 0u);
-  EXPECT_EQ(cold.totals.podem_targets_skipped, 0u);
+}
+
+/// Faults `s` reports Detected that its test set `s.atpg.tests` does not
+/// detect, found by fault-simulating the whole set over the universe.
+std::size_t detected_but_not_covered(const FlowState& s) {
+  const UdfmMap& udfm = *shared_udfm(osu018_library());
+  const CombView view = CombView::build(s.netlist);
+  FaultSimulator sim(s.netlist, view);
+  const std::size_t n = s.universe.size();
+  std::vector<bool> covered(n, false);
+  const std::vector<TestPattern>& tests = s.atpg.tests;
+  constexpr std::size_t kLanes = FaultSimulator::lane_capacity();
+  for (std::size_t first = 0; first < tests.size(); first += kLanes) {
+    sim.load(tests, first, std::min(kLanes, tests.size() - first));
+    for (std::size_t i = 0; i < n; ++i) {
+      if (covered[i] || s.atpg.status[i] != FaultStatus::Detected) continue;
+      covered[i] = sim.detect_mask(build_excitations(s.universe.faults[i],
+                                                     s.netlist, udfm)) != 0;
+    }
+  }
+  std::size_t missing = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (s.atpg.status[i] == FaultStatus::Detected && !covered[i]) ++missing;
+  }
+  return missing;
+}
+
+TEST(WarmStart, SignoffTestsCoverEveryDetectedFault) {
+  // The sign-off test set is the T of the paper's Table II: a
+  // certificate for every fault the sign-off counts as detected, warm or
+  // cold.
+  for (const Netlist& rtl : {block_a(), block_b()}) {
+    for (const bool warm : {true, false}) {
+      const PipelineRun run =
+          run_pipeline(rtl, warm, /*parallel_ladder=*/false, 1);
+      ASSERT_GT(run.state.atpg.num_detected, 0u);
+      EXPECT_EQ(detected_but_not_covered(run.state), 0u)
+          << rtl.name() << (warm ? " warm" : " cold");
+    }
+  }
+  FlowOptions options;
+  options.atpg.num_threads = 1;
+  DesignFlow flow(osu018_library(), options);
+  const FlowState original =
+      flow.run_initial(build_benchmark("sparc_tlu").value()).value();
+  const auto result = resynthesize(flow, original, ResynthesisOptions{});
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(detected_but_not_covered(result->state), 0u) << "sparc_tlu";
 }
 
 TEST(WarmStart, SeedWidthMismatchIsIgnored) {
@@ -379,6 +425,26 @@ TEST(ResynPinned, SparcTluOutputMatchesRecordedHash) {
   }
   EXPECT_GT(accepted, 0u);
   EXPECT_EQ(fnv.h, 0x1047e3c936ee10baull) << "0x" << std::hex << fnv.h;
+}
+
+TEST(ResynPinned, SparcLsuCompletes) {
+  // `dfmres resyn sparc_lsu`: its first phase-1 region is not convex (an
+  // output reaches an input through gates outside it), so some re-maps
+  // close a combinational loop. Such a candidate must be rejected like
+  // an unmappable one, not abort the run when its ATPG orders the gates.
+  FlowOptions flow_options;
+  flow_options.atpg.num_threads = 1;
+  DesignFlow flow(osu018_library(), flow_options);
+  const FlowState original =
+      flow.run_initial(build_benchmark("sparc_lsu").value()).value();
+  const auto result = resynthesize(flow, original, ResynthesisOptions{});
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->state.num_aborted(), 0u);
+  std::size_t accepted = 0;
+  for (const IterationRecord& r : result->report.trace) {
+    if (r.accepted) ++accepted;
+  }
+  EXPECT_GT(accepted, 0u);
 }
 
 }  // namespace

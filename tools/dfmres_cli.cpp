@@ -382,35 +382,12 @@ bool parse_long(const char* flag, const char* text, long min, long max,
   return true;
 }
 
-bool ends_with(const std::string& s, const char* suffix) {
-  const std::size_t n = std::strlen(suffix);
-  return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-}
-
-/// Loads a design: benchmark name -> generic RTL netlist; *.v file ->
-/// already-mapped netlist over the standard library.
-std::optional<Netlist> load_design(const std::string& name, bool* is_mapped) {
-  *is_mapped = false;
-  if (ends_with(name, ".v")) {
-    std::ifstream in(name);
-    if (!in) {
-      std::fprintf(stderr, "cannot open '%s'\n", name.c_str());
-      return std::nullopt;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    auto nl = read_verilog(text.str(), osu018_library());
-    if (!nl) {
-      std::fprintf(stderr, "%s: %s\n", name.c_str(),
-                   nl.status().to_string().c_str());
-      return std::nullopt;
-    }
-    *is_mapped = true;
-    return std::move(*nl);
-  }
-  auto nl = build_benchmark(name);
+/// load_design with the CLI's error text on stderr.
+std::optional<Netlist> load_cli_design(const std::string& name,
+                                       bool* is_mapped) {
+  auto nl = load_design(name, is_mapped);
   if (!nl) {
-    std::fprintf(stderr, "%s (try 'dfmres list')\n",
+    std::fprintf(stderr, *is_mapped ? "%s\n" : "%s (try 'dfmres list')\n",
                  nl.status().to_string().c_str());
     return std::nullopt;
   }
@@ -430,23 +407,10 @@ void print_state(const char* label, const FlowState& s,
       100.0 * s.timing.total_power() / ref.timing.total_power());
 }
 
-std::optional<FlowState> run_flow(DesignFlow& flow, const Netlist& design,
+/// analyze_design with the failure's status on stderr.
+std::optional<FlowState> run_flow(DesignFlow& flow, Netlist design,
                                   bool is_mapped) {
-  if (!is_mapped) {
-    auto state = flow.run_initial(design);
-    if (!state) {
-      std::fprintf(stderr, "%s\n", state.status().to_string().c_str());
-      return std::nullopt;
-    }
-    return std::move(*state);
-  }
-  // Already mapped: place in a fresh floorplan and analyze.
-  const Floorplan plan =
-      make_floorplan(design, flow.options().utilization);
-  Placement placement =
-      global_place(design, plan, flow.options().place);
-  auto state = flow.analyze(AnalysisRequest::placed(
-      design, std::move(placement), /*generate_tests=*/true));
+  auto state = analyze_design(flow, std::move(design), is_mapped);
   if (!state) {
     std::fprintf(stderr, "%s\n", state.status().to_string().c_str());
     return std::nullopt;
@@ -512,10 +476,10 @@ int cmd_flow(int argc, char** argv) {
   obs.arm();
   const auto t0 = std::chrono::steady_clock::now();
   bool is_mapped = false;
-  const auto design = load_design(argv[0], &is_mapped);
+  auto design = load_cli_design(argv[0], &is_mapped);
   if (!design) return flush_and_fail(obs);
   DesignFlow flow(osu018_library(), options);
-  const auto state = run_flow(flow, *design, is_mapped);
+  const auto state = run_flow(flow, std::move(*design), is_mapped);
   if (!state) return flush_and_fail(obs);
   std::printf("%s", describe(state->netlist).c_str());
   print_state("flow", *state, nullptr);
@@ -584,10 +548,10 @@ int cmd_resyn(int argc, char** argv) {
   obs.arm();
   const auto t0 = std::chrono::steady_clock::now();
   bool is_mapped = false;
-  const auto design = load_design(argv[0], &is_mapped);
+  auto design = load_cli_design(argv[0], &is_mapped);
   if (!design) return flush_and_fail(obs);
   DesignFlow flow(osu018_library(), flow_options);
-  const auto original = run_flow(flow, *design, is_mapped);
+  const auto original = run_flow(flow, std::move(*design), is_mapped);
   if (!original) return flush_and_fail(obs);
   print_state("orig", *original, nullptr);
   // The fingerprint depends on the seed tests, which the sign-off
@@ -1371,7 +1335,7 @@ int cmd_canon(int argc, char** argv) {
 int cmd_verilog(int argc, char** argv) {
   if (argc < 1) return usage();
   bool is_mapped = false;
-  const auto design = load_design(argv[0], &is_mapped);
+  const auto design = load_cli_design(argv[0], &is_mapped);
   if (!design) return 1;
   if (is_mapped) {
     write_verilog(*design, std::cout);
