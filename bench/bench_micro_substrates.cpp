@@ -33,14 +33,8 @@ const Netlist& mapped(const std::string& block) {
   static std::map<std::string, Netlist> cache;
   if (const auto it = cache.find(block); it != cache.end()) return it->second;
   const Netlist rtl = build_benchmark(block).value();
-  MapOptions mo;
-  const auto glib = generic_library();
   const auto tlib = osu018_library();
-  for (const auto& [s, d] : std::initializer_list<std::pair<const char*,
-                                                            const char*>>{
-           {"DFF", "DFFPOSX1"}, {"FA", "FAX1"}, {"HA", "HAX1"}}) {
-    mo.fixed_map.emplace(glib->require(s).value(), tlib->require(d));
-  }
+  const MapOptions mo = macro_map_options(rtl.library(), *tlib);
   return cache.emplace(block, *technology_map(rtl, tlib, mo)).first->second;
 }
 
@@ -131,12 +125,8 @@ BENCHMARK(BM_PodemDetect);
 
 void BM_TechnologyMap(benchmark::State& state) {
   const Netlist rtl = build_benchmark("tv80").value();
-  MapOptions mo;
-  const auto glib = generic_library();
   const auto tlib = osu018_library();
-  mo.fixed_map.emplace(glib->require("DFF").value(), tlib->require("DFFPOSX1"));
-  mo.fixed_map.emplace(glib->require("FA").value(), tlib->require("FAX1"));
-  mo.fixed_map.emplace(glib->require("HA").value(), tlib->require("HAX1"));
+  const MapOptions mo = macro_map_options(rtl.library(), *tlib);
   for (auto _ : state) {
     benchmark::DoNotOptimize(technology_map(rtl, tlib, mo));
   }

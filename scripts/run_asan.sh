@@ -14,8 +14,10 @@
 # replay are exactly the pointer gymnastics ASan is for), the flat
 # DFM extractor (dfm_test), and the switch-level simulator's reused CSR
 # and reach buffers over both libraries' UDFM extraction
-# (switchlevel_test). Any report, or a --gtest_filter that selects no
-# test, aborts with a non-zero exit.
+# (switchlevel_test), and the level-bucket event queue with the
+# combinational levels it indexes (netlist_test) and the two-fault
+# simulator's waves over it (double_fault_test). Any report, or a
+# --gtest_filter that selects no test, aborts with a non-zero exit.
 # Usage: scripts/run_asan.sh [build-dir]
 set -eu
 
@@ -27,7 +29,8 @@ cmake -B "$BUILD_DIR" -S . -DDFMRES_SANITIZE=address \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
   --target warm_start_test core_test atpg_test overlay_test fault_sim_test \
-  lease_test sat_test dfm_test switchlevel_test
+  lease_test sat_test dfm_test switchlevel_test netlist_test \
+  double_fault_test
 
 # Fail loudly on the first report from either sanitizer.
 SAN_ENV="halt_on_error=1 exitcode=66"
@@ -54,6 +57,13 @@ ASAN_OPTIONS="$SAN_ENV" UBSAN_OPTIONS="$SAN_ENV" \
 # lane masks.
 ASAN_OPTIONS="$SAN_ENV" UBSAN_OPTIONS="$SAN_ENV" \
   "$BUILD_DIR/tests/fault_sim_test"
+# LevelQueue bucket indexing (LevelQueue.*, including a reset to fewer
+# levels) and CombView levels on all 12 blocks.
+ASAN_OPTIONS="$SAN_ENV" UBSAN_OPTIONS="$SAN_ENV" \
+  "$BUILD_DIR/tests/netlist_test"
+# Two-fault waves: the pair simulator's level queue and epoch marks.
+ASAN_OPTIONS="$SAN_ENV" UBSAN_OPTIONS="$SAN_ENV" \
+  "$BUILD_DIR/tests/double_fault_test"
 # DFM extraction: CSR bucket offsets, the adjacent-track walk and the
 # per-window bitmaps index flat arrays by net id and gcell.
 ASAN_OPTIONS="$SAN_ENV" UBSAN_OPTIONS="$SAN_ENV" \

@@ -1,10 +1,10 @@
 #include "src/atpg/double_fault.hpp"
 
 #include <algorithm>
-#include <queue>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "src/netlist/level_queue.hpp"
 #include "src/sim/parallel_sim.hpp"
 
 #include "src/util/rng.hpp"
@@ -21,11 +21,9 @@ class PairSimulator {
  public:
   PairSimulator(const Netlist& nl, const CombView& view)
       : nl_(nl), view_(view), faulty_(view.net_slots), stamp_(view.net_slots, 0),
-        scheduled_(nl.gate_capacity(), false), topo_pos_(nl.gate_capacity(), 0),
-        good0_(view.net_slots), good1_(view.net_slots) {
-    for (std::uint32_t i = 0; i < view.order.size(); ++i) {
-      topo_pos_[view.order[i].value()] = i;
-    }
+        scheduled_(view.level.size(), 0), good0_(view.net_slots),
+        good1_(view.net_slots) {
+    queue_.reset(view.num_levels);
   }
 
   void load(std::span<const TestPattern> tests, std::size_t first,
@@ -94,19 +92,13 @@ class PairSimulator {
     inject(a, ea);
     inject(b, eb);
 
-    std::priority_queue<std::pair<std::uint32_t, std::uint32_t>,
-                        std::vector<std::pair<std::uint32_t, std::uint32_t>>,
-                        std::greater<>>
-        queue;
-    std::vector<std::uint32_t> touched;
     const auto schedule = [&](NetId n) {
       for (const PinRef& sink : nl_.net(n).sinks) {
         if (nl_.cell_of(sink.gate).sequential) continue;
         const std::uint32_t gs = sink.gate.value();
-        if (!scheduled_[gs]) {
-          scheduled_[gs] = true;
-          touched.push_back(gs);
-          queue.emplace(topo_pos_[gs], gs);
+        if (scheduled_[gs] != epoch_) {
+          scheduled_[gs] = epoch_;
+          queue_.push(view_.level[gs], gs);
         }
       }
     };
@@ -122,10 +114,8 @@ class PairSimulator {
       }
       return value;
     };
-    while (!queue.empty()) {
-      const auto [pos, gs] = queue.top();
-      queue.pop();
-      const GateId g{gs};
+    while (!queue_.empty()) {
+      const GateId g{queue_.pop()};
       const auto& gate = nl_.gate(g);
       const CellSpec& cell = nl_.cell_of(g);
       std::uint64_t ins[kMaxCellInputs];
@@ -143,7 +133,6 @@ class PairSimulator {
         }
       }
     }
-    for (std::uint32_t gs : touched) scheduled_[gs] = false;
 
     std::uint64_t detected = 0;
     for (NetId obs : view_.observe) {
@@ -166,8 +155,8 @@ class PairSimulator {
   std::vector<std::uint64_t> faulty_;
   std::vector<std::uint32_t> stamp_;
   std::uint32_t epoch_ = 0;
-  std::vector<bool> scheduled_;
-  std::vector<std::uint32_t> topo_pos_;
+  std::vector<std::uint32_t> scheduled_;  // epoch-stamped, per gate slot
+  LevelQueue queue_;
   std::vector<std::uint64_t> good0_, good1_;
 };
 

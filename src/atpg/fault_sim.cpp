@@ -13,49 +13,6 @@ namespace {
 
 constexpr std::size_t kLanes = FaultSimulator::lane_capacity();
 
-// ---- SoA event heap ----
-// Min-heap on topological position with the gate slot riding along in a
-// parallel array: the sift compares touch only the position lane. Topo
-// positions are unique per gate, so the pop order is deterministic.
-
-void push_event(std::vector<std::uint32_t>& pos,
-                std::vector<std::uint32_t>& gate, std::uint32_t p,
-                std::uint32_t g) {
-  pos.push_back(p);
-  gate.push_back(g);
-  std::size_t i = pos.size() - 1;
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (pos[parent] <= pos[i]) break;
-    std::swap(pos[parent], pos[i]);
-    std::swap(gate[parent], gate[i]);
-    i = parent;
-  }
-}
-
-std::uint32_t pop_event(std::vector<std::uint32_t>& pos,
-                        std::vector<std::uint32_t>& gate) {
-  const std::uint32_t top = gate[0];
-  pos[0] = pos.back();
-  gate[0] = gate.back();
-  pos.pop_back();
-  gate.pop_back();
-  const std::size_t n = pos.size();
-  std::size_t i = 0;
-  while (true) {
-    const std::size_t l = 2 * i + 1;
-    const std::size_t r = l + 1;
-    std::size_t m = i;
-    if (l < n && pos[l] < pos[m]) m = l;
-    if (r < n && pos[r] < pos[m]) m = r;
-    if (m == i) break;
-    std::swap(pos[m], pos[i]);
-    std::swap(gate[m], gate[i]);
-    i = m;
-  }
-  return top;
-}
-
 // ---- good-machine evaluation ----
 
 /// Packs tests[first..first+lanes) into one lane word per source: lane L
@@ -404,8 +361,7 @@ void FaultSimulator::rebind(std::shared_ptr<const DenseView> view) {
   // Event scratch left over from an interrupted query against a previous
   // binding would index into the wrong design — drop it with the rest of
   // the per-binding state.
-  event_pos_.clear();
-  event_gate_.clear();
+  queue_.reset(view_->num_levels);
   touched_gates_.clear();
   touched_nets_.clear();
   bind_own_frames();
@@ -546,14 +502,13 @@ void FaultSimulator::replay_overlay(const CowPlan& plan) {
     ov0_[n] = w0;
     ov1_[n] = w1;
   };
-  event_pos_.clear();
-  event_gate_.clear();
+  queue_.clear();
   touched_gates_.clear();
   const auto schedule = [&](std::uint32_t gs) {
     if (!scheduled_[gs]) {
       scheduled_[gs] = 1;
       touched_gates_.push_back(gs);
-      push_event(event_pos_, event_gate_, v.topo_pos[gs], gs);
+      queue_.push(v.level[gs], gs);
     }
   };
   // Slots the baseline frames cannot answer for start at 0 — the value
@@ -568,8 +523,8 @@ void FaultSimulator::replay_overlay(const CowPlan& plan) {
   }
   for (std::uint32_t gs : plan.seed_gates) schedule(gs);
   std::uint64_t in0[kMaxCellInputs], in1[kMaxCellInputs];
-  while (!event_pos_.empty()) {
-    const std::uint32_t gs = pop_event(event_pos_, event_gate_);
+  while (!queue_.empty()) {
+    const std::uint32_t gs = queue_.pop();
     const CellSpec& cell = *v.cell[gs];
     const std::uint32_t fb = v.fanin_offset[gs];
     const std::size_t nin = v.fanin_offset[gs + 1] - fb;
@@ -633,11 +588,9 @@ std::uint64_t FaultSimulator::observability(std::uint32_t victim) {
   touched_nets_.clear();
   set_fv(victim, g1(victim) ^ lane_mask_);
 
-  // SoA min-heap of gates by topological position (reused buffers).
-  // Sinks come from the view's combinational fanout CSR, which already
-  // excludes sequential gates.
-  event_pos_.clear();
-  event_gate_.clear();
+  // Gates wait in the level queue. Sinks come from the view's
+  // combinational fanout CSR, which already excludes sequential gates.
+  queue_.clear();
   touched_gates_.clear();
   const auto schedule_sinks = [&](std::uint32_t n) {
     for (std::uint32_t i = v.fanout_offset[n]; i < v.fanout_offset[n + 1];
@@ -646,14 +599,14 @@ std::uint64_t FaultSimulator::observability(std::uint32_t victim) {
       if (!scheduled_[gs]) {
         scheduled_[gs] = 1;
         touched_gates_.push_back(gs);
-        push_event(event_pos_, event_gate_, v.topo_pos[gs], gs);
+        queue_.push(v.level[gs], gs);
       }
     }
   };
   schedule_sinks(victim);
   std::uint64_t ins[kMaxCellInputs];
-  while (!event_pos_.empty()) {
-    const std::uint32_t gs = pop_event(event_pos_, event_gate_);
+  while (!queue_.empty()) {
+    const std::uint32_t gs = queue_.pop();
     const CellSpec& cell = *v.cell[gs];
     const std::uint32_t fb = v.fanin_offset[gs];
     const std::size_t nin = v.fanin_offset[gs + 1] - fb;

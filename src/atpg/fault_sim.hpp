@@ -14,6 +14,7 @@
 #include "src/atpg/region.hpp"
 #include "src/atpg/verdict_store.hpp"
 #include "src/netlist/dense_view.hpp"
+#include "src/netlist/level_queue.hpp"
 #include "src/netlist/netlist.hpp"
 #include "src/util/cancel.hpp"
 #include "src/util/rng.hpp"
@@ -352,14 +353,11 @@ class FaultSimulator {
   std::vector<std::uint64_t> obs_;
   std::vector<std::uint32_t> obs_stamp_;
   std::uint32_t obs_epoch_ = 0;
-  // Per-wave event scratch reused across observability waves,
-  // structure-of-arrays: the pending-event min-heap keeps topo positions
-  // and gate slots in parallel arrays (the heap sifts touch only the
-  // position lane; the gate ids ride along), and the nets whose faulty
-  // value was stamped this epoch live in touched_nets_ (the only nets
-  // that can disagree with the good machine at an observation point).
-  std::vector<std::uint32_t> event_pos_;
-  std::vector<std::uint32_t> event_gate_;
+  // Per-wave event scratch reused across waves: pending gates wait in
+  // the level queue, and the nets whose faulty value was stamped this
+  // epoch live in touched_nets_ (the only nets that can disagree with
+  // the good machine at an observation point).
+  LevelQueue queue_;
   std::vector<std::uint32_t> touched_gates_;
   std::vector<std::uint32_t> touched_nets_;
   std::uint64_t patterns_simulated_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <utility>
 
 namespace dfmres {
@@ -44,38 +45,35 @@ Podem::Podem(const Netlist& nl, const CombView& view, Config config)
     }
   }
   visited_net_.assign(view.net_slots, 0);
+  queue_.reset(view.num_levels);
+  scheduled_.assign(view.level.size(), 0);
 }
 
-V3 Podem::eval_gate(GateId g, int out) const {
-  const auto& gate = nl_.gate(g);
+std::size_t Podem::lut_index(const Netlist::Gate& gate) const {
   int idx = 0;
   for (std::size_t i = 0; i < gate.fanin.size(); ++i) {
     idx += static_cast<int>(value_[gate.fanin[i].value()].good) * kPow3[i];
   }
-  return static_cast<V3>(
-      lut_[nl_.gate(g).cell.value()][static_cast<std::size_t>(out)]
-          [static_cast<std::size_t>(idx)]);
+  return static_cast<std::size_t>(idx);
 }
 
 void Podem::simulate_good() {
   // Baseline pass for the current search. Only the region's relevant
-  // gates are evaluated: every net the search reads is a source or the
-  // output of a relevant gate (the region closes backward over drivers),
-  // so the skipped gates' stale values are unobservable.
+  // gates are evaluated, in level order: every net the search reads is a
+  // source or the output of a relevant gate (the region closes backward
+  // over drivers), so the skipped gates' stale values are unobservable.
   for (std::size_t i = 0; i < view_.sources.size(); ++i) {
     value_[view_.sources[i].value()].good = source_assign_[i];
   }
-  for (GateId g : view_.order) {
-    if (!region_->relevant_gate(g)) continue;
-    const auto& gate = nl_.gate(g);
+  for (GateId g : region_->gates()) {
+    queue_.push(view_.level[g.value()], g.value());
+  }
+  while (!queue_.empty()) {
+    const auto& gate = nl_.gate(GateId{queue_.pop()});
     const auto& luts = lut_[gate.cell.value()];
-    int idx = 0;
-    for (std::size_t i = 0; i < gate.fanin.size(); ++i) {
-      idx += static_cast<int>(value_[gate.fanin[i].value()].good) * kPow3[i];
-    }
+    const std::size_t idx = lut_index(gate);
     for (std::size_t k = 0; k < gate.outputs.size(); ++k) {
-      value_[gate.outputs[k].value()].good =
-          static_cast<V3>(luts[k][static_cast<std::size_t>(idx)]);
+      value_[gate.outputs[k].value()].good = static_cast<V3>(luts[k][idx]);
     }
   }
 }
@@ -277,36 +275,35 @@ void Podem::assign_source(std::size_t source, V3 v) {
   if (value_[src_net.value()].good == v) return;
   trail_.push_back({src_net, value_[src_net.value()].good});
   value_[src_net.value()].good = v;
-  // Event-driven propagation in topological order, pruned to the gates
-  // the current search can observe (see RelevantRegion). The heap buffer
-  // is a member so the per-assignment hot path never allocates.
-  auto& queue = event_heap_;
-  queue.clear();
+  // Event-driven propagation in level order, pruned to the gates the
+  // current search can observe (see RelevantRegion). Each gate runs at
+  // most once per assignment, after every scheduled predecessor; the
+  // queue and the marks are members so this hot path never allocates.
+  if (schedule_epoch_ == std::numeric_limits<std::uint32_t>::max()) {
+    // Clear the marks before epoch numbers repeat.
+    std::fill(scheduled_.begin(), scheduled_.end(), 0);
+    schedule_epoch_ = 0;
+  }
+  ++schedule_epoch_;
   const auto schedule_sinks = [&](NetId n) {
     for (const PinRef& sink : nl_.net(n).sinks) {
-      if (!region_->relevant_gate(sink.gate)) continue;
-      queue.emplace_back(region_->topo_pos(sink.gate), sink.gate.value());
-      std::push_heap(queue.begin(), queue.end(), std::greater<>{});
+      const std::uint32_t gs = sink.gate.value();
+      if (scheduled_[gs] == schedule_epoch_ ||
+          !region_->relevant_gate(sink.gate)) {
+        continue;
+      }
+      scheduled_[gs] = schedule_epoch_;
+      queue_.push(view_.level[gs], gs);
     }
   };
   schedule_sinks(src_net);
-  std::uint32_t last = std::numeric_limits<std::uint32_t>::max();
-  while (!queue.empty()) {
-    const auto [pos, gs] = queue.front();
-    std::pop_heap(queue.begin(), queue.end(), std::greater<>{});
-    queue.pop_back();
-    if (gs == last) continue;  // dedupe repeated scheduling
-    last = gs;
-    const GateId g{gs};
-    const auto& gate = nl_.gate(g);
+  while (!queue_.empty()) {
+    const auto& gate = nl_.gate(GateId{queue_.pop()});
     const auto& luts = lut_[gate.cell.value()];
-    int idx = 0;
-    for (std::size_t i = 0; i < gate.fanin.size(); ++i) {
-      idx += static_cast<int>(value_[gate.fanin[i].value()].good) * kPow3[i];
-    }
+    const std::size_t idx = lut_index(gate);
     for (std::size_t k = 0; k < gate.outputs.size(); ++k) {
       const NetId out = gate.outputs[k];
-      const V3 nv = static_cast<V3>(luts[k][static_cast<std::size_t>(idx)]);
+      const V3 nv = static_cast<V3>(luts[k][idx]);
       if (value_[out.value()].good != nv) {
         trail_.push_back({out, value_[out.value()].good});
         value_[out.value()].good = nv;

@@ -7,6 +7,7 @@
 #include "src/atpg/excitation.hpp"
 #include "src/atpg/region.hpp"
 #include "src/atpg/values.hpp"
+#include "src/netlist/level_queue.hpp"
 #include "src/netlist/netlist.hpp"
 #include "src/util/cancel.hpp"
 
@@ -65,7 +66,8 @@ class Podem {
     bool flipped;
   };
 
-  [[nodiscard]] V3 eval_gate(GateId g, int out) const;
+  /// Base-3 index of `gate`'s fanin good values into its cell's LUTs.
+  [[nodiscard]] std::size_t lut_index(const Netlist::Gate& gate) const;
   void simulate_good();
   /// Incremental decision handling: assigning a source propagates events
   /// through its fanout and records an undo trail. Propagation is pruned
@@ -98,8 +100,11 @@ class Podem {
   bool observed_ = false;  // set by simulate_faulty
   std::vector<NetId> scratch_queue_;
   std::vector<Decision> stack_;  // decision stack, reused across searches
-  // Min-heap buffer for assign_source's event propagation (reused).
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> event_heap_;
+  // Implication scratch, reused: pending gates by level, and per gate
+  // slot the epoch of the wave that last scheduled it.
+  LevelQueue queue_;
+  std::vector<std::uint32_t> scheduled_;
+  std::uint32_t schedule_epoch_ = 0;
   struct TrailEntry {
     NetId net;
     V3 old_good;

@@ -84,10 +84,6 @@ class RelevantRegion {
   [[nodiscard]] bool is_source(NetId n) const { return source_[n.value()]; }
   /// A PO or a flop input (CombView::observe).
   [[nodiscard]] bool is_observed(NetId n) const { return observe_[n.value()]; }
-  /// Position of combinational gate `g` in CombView::order.
-  [[nodiscard]] std::uint32_t topo_pos(GateId g) const {
-    return topo_pos_[g.value()];
-  }
 
   /// The call's key, built from function labels only:
   /// - detect: (label(victim), faulty value), each frame-1 literal as

@@ -1,6 +1,7 @@
 #include "src/core/flow.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/core/telemetry.hpp"
 #include "src/library/osu018.hpp"
@@ -8,6 +9,21 @@
 #include "src/util/trace.hpp"
 
 namespace dfmres {
+
+MapOptions macro_map_options(const Library& rtl_lib,
+                             const Library& target_lib) {
+  MapOptions options;
+  for (const auto& [src_name, dst_name] :
+       {std::pair{"DFF", "DFFPOSX1"}, std::pair{"FA", "FAX1"},
+        std::pair{"HA", "HAX1"}}) {
+    if (const auto src = rtl_lib.find(src_name)) {
+      if (const auto dst = target_lib.find(dst_name)) {
+        options.fixed_map.emplace(src->value(), *dst);
+      }
+    }
+  }
+  return options;
+}
 
 DesignFlow::DesignFlow(std::shared_ptr<const Library> target,
                        FlowOptions options)
@@ -17,21 +33,9 @@ DesignFlow::DesignFlow(std::shared_ptr<const Library> target,
 
 Expected<FlowState> DesignFlow::run_initial(const Netlist& rtl) {
   // Synthesize(): technology mapping with arithmetic/sequential macros
-  // pinned, the way RTL synthesis instantiates adder and flop cells.
-  MapOptions map_options;
-  const Library& slib = rtl.library();
-  const auto pin_macro = [&](const char* src_name, const char* dst_name) {
-    if (const auto src = slib.find(src_name)) {
-      if (const auto dst = target_->find(dst_name)) {
-        map_options.fixed_map.emplace(src->value(), *dst);
-      }
-    }
-  };
-  pin_macro("DFF", "DFFPOSX1");
-  pin_macro("FA", "FAX1");
-  pin_macro("HA", "HAX1");
-
-  auto mapped = technology_map(rtl, target_, map_options);
+  // pinned.
+  auto mapped = technology_map(rtl, target_,
+                               macro_map_options(rtl.library(), *target_));
   if (!mapped) return mapped.status();
 
   const Floorplan plan = make_floorplan(*mapped, options_.utilization);

@@ -101,6 +101,13 @@ struct AnalysisRequest {
   }
 };
 
+/// RTL synthesis's mapping options: the DFF, FA and HA macros of
+/// `rtl_lib` pinned to DFFPOSX1, FAX1 and HAX1 of `target_lib`, the way
+/// synthesis instantiates flop and adder cells. A macro is pinned only
+/// when both libraries have its cell.
+[[nodiscard]] MapOptions macro_map_options(const Library& rtl_lib,
+                                           const Library& target_lib);
+
 class DesignFlow;
 
 /// A bundle of speculative (side-effect-free) analyses against one

@@ -10,7 +10,6 @@ DenseView DenseView::build(const Netlist& nl, const CombView& view) {
   dv.cell.assign(dv.gate_slots, nullptr);
   dv.is_sequential.assign(dv.gate_slots, 0);
   dv.driver.assign(dv.net_slots, kNoDriver);
-  dv.topo_pos.assign(dv.gate_slots, 0);
   dv.observe_flag.assign(dv.net_slots, 0);
   dv.is_primary_output.assign(dv.net_slots, 0);
 
@@ -72,11 +71,9 @@ DenseView DenseView::build(const Netlist& nl, const CombView& view) {
   }
 
   dv.order.reserve(view.order.size());
-  for (std::uint32_t i = 0; i < view.order.size(); ++i) {
-    const std::uint32_t gs = view.order[i].value();
-    dv.order.push_back(gs);
-    dv.topo_pos[gs] = i;
-  }
+  for (GateId g : view.order) dv.order.push_back(g.value());
+  dv.level = view.level;
+  dv.num_levels = view.num_levels;
   dv.sources.reserve(view.sources.size());
   for (NetId s : view.sources) dv.sources.push_back(s.value());
   for (NetId obs : view.observe) dv.observe_flag[obs.value()] = 1;

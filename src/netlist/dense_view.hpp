@@ -11,8 +11,8 @@ namespace dfmres {
 /// Structure-of-arrays snapshot of the hot netlist data the fault
 /// simulator and the event-driven propagation walk touch: gate pin
 /// connectivity and combinational fanout as CSR adjacency, per-gate cell
-/// specs, topological positions, and per-net observability flags — all
-/// indexed by the netlist's stable dense slot ids (gates and nets are
+/// specs, topological order and levels, and per-net observability flags —
+/// all indexed by the netlist's stable dense slot ids (gates and nets are
 /// never renumbered by removal, so a slot means the same object in every
 /// view built over descendants of one netlist).
 ///
@@ -47,8 +47,9 @@ struct DenseView {
   std::vector<std::uint8_t> is_sequential;  ///< per gate slot
   std::vector<std::uint32_t> driver;        ///< per net slot; kNoDriver = none
 
-  std::vector<std::uint32_t> order;     ///< comb gate slots, topological
-  std::vector<std::uint32_t> topo_pos;  ///< per gate slot (comb gates only)
+  std::vector<std::uint32_t> order;  ///< comb gate slots, topological
+  std::vector<std::uint32_t> level;  ///< per gate slot (CombView::level)
+  std::size_t num_levels = 0;        ///< CombView::num_levels
 
   std::vector<std::uint8_t> net_alive;         ///< per net slot
 

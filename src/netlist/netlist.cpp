@@ -344,6 +344,19 @@ CombView CombView::build(const Netlist& nl) {
   view.sources = nl.primary_inputs();
   view.observe = nl.primary_outputs();
   view.order = nl.topological_order();
+  view.level.assign(nl.gate_capacity(), 0);
+  for (GateId g : view.order) {
+    std::uint32_t level = 0;
+    for (NetId in : nl.gate(g).fanin) {
+      const auto& net = nl.net(in);
+      if (!net.has_gate_driver() || nl.cell_of(net.driver_gate).sequential) {
+        continue;
+      }
+      level = std::max(level, view.level[net.driver_gate.value()] + 1);
+    }
+    view.level[g.value()] = level;
+    view.num_levels = std::max<std::size_t>(view.num_levels, level + 1);
+  }
   for (GateId g : nl.live_gates()) {
     if (!nl.cell_of(g).sequential) continue;
     for (NetId q : nl.gate(g).outputs) view.sources.push_back(q);

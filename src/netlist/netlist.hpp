@@ -170,6 +170,12 @@ struct CombView {
   std::vector<NetId> sources;       ///< PIs + DFF Q nets
   std::vector<NetId> observe;       ///< PO nets + DFF D nets
   std::vector<GateId> order;        ///< combinational gates, topological
+  /// Per gate slot: 1 + the highest level among the gate's combinational
+  /// drivers, 0 when it has none (and for sequential or dead slots).
+  /// Strictly increasing along every combinational edge, so visiting
+  /// gates by ascending level is a topological order (LevelQueue).
+  std::vector<std::uint32_t> level;
+  std::size_t num_levels = 0;       ///< highest level + 1; 0 if no gates
   std::size_t net_slots = 0;        ///< == netlist.net_capacity() at build
 
   [[nodiscard]] static CombView build(const Netlist& nl);

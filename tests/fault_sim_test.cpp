@@ -54,16 +54,9 @@ struct RealBlock {
 
 RealBlock real_block(const char* name, const UdfmMap& udfm) {
   const Netlist rtl = build_benchmark(name).value();
-  // Same macro pinning as DesignFlow::run_initial.
-  MapOptions mo;
-  for (const auto& [src, dst] : {std::pair{"DFF", "DFFPOSX1"},
-                                 std::pair{"FA", "FAX1"},
-                                 std::pair{"HA", "HAX1"}}) {
-    const auto s = rtl.library().find(src);
-    const auto d = lib()->find(dst);
-    if (s && d) mo.fixed_map.emplace(s->value(), *d);
-  }
-  Netlist mapped = technology_map(rtl, lib(), mo).value();
+  Netlist mapped =
+      technology_map(rtl, lib(), macro_map_options(rtl.library(), *lib()))
+          .value();
   const FlowOptions fopts;
   const Placement pl = global_place(
       mapped, make_floorplan(mapped, fopts.utilization), fopts.place);
@@ -458,10 +451,35 @@ TEST(EnginePinned, ColdRunOutputMatchesRecordedHash) {
   }
 }
 
+/// Order-independent: FNV-1a over the sorted (fault key, status) pairs,
+/// so it holds however the extractor orders the universe as long as
+/// every fault keeps its verdict.
+std::uint64_t verdict_multiset_hash(const FaultUniverse& universe,
+                                    const AtpgResult& r) {
+  using Pair = std::pair<std::vector<std::uint64_t>, int>;
+  std::vector<Pair> pairs;
+  pairs.reserve(r.status.size());
+  for (std::size_t i = 0; i < r.status.size(); ++i) {
+    const Fault::Key k = universe.faults[i].key();
+    pairs.push_back({{k.kind, k.bridge_type, k.victim, k.aggressor, k.owner,
+                      k.udfm_index, k.value},
+                     static_cast<int>(r.status[i])});
+  }
+  std::sort(pairs.begin(), pairs.end());
+  std::uint64_t h = 14695981039346656037ull;
+  for (const auto& [key, status] : pairs) {
+    for (const std::uint64_t field : key) {
+      h ^= field;
+      h *= 1099511628211ull;
+    }
+    h ^= static_cast<std::uint64_t>(status);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
 TEST(EnginePinned, VerdictMultisetMatchesRecordedHash) {
-  // Order-independent: FNV-1a over the sorted (fault key, status) pairs
-  // of a cold default-option run, so it holds however the extractor
-  // orders the universe as long as every fault keeps its verdict.
+  // A cold default-option run_atpg.
   const struct {
     const char* block;
     std::uint64_t hash;
@@ -474,27 +492,26 @@ TEST(EnginePinned, VerdictMultisetMatchesRecordedHash) {
     const RealBlock blk = real_block(pin.block, udfm);
     const AtpgResult r = run_atpg(blk.nl, blk.universe, udfm, {});
     ASSERT_EQ(r.status.size(), blk.universe.size());
-    using Pair = std::pair<std::vector<std::uint64_t>, int>;
-    std::vector<Pair> pairs;
-    pairs.reserve(r.status.size());
-    for (std::size_t i = 0; i < r.status.size(); ++i) {
-      const Fault::Key k = blk.universe.faults[i].key();
-      pairs.push_back({{k.kind, k.bridge_type, k.victim, k.aggressor,
-                        k.owner, k.udfm_index, k.value},
-                       static_cast<int>(r.status[i])});
-    }
-    std::sort(pairs.begin(), pairs.end());
-    std::uint64_t h = 14695981039346656037ull;
-    for (const auto& [key, status] : pairs) {
-      for (const std::uint64_t field : key) {
-        h ^= field;
-        h *= 1099511628211ull;
-      }
-      h ^= static_cast<std::uint64_t>(status);
-      h *= 1099511628211ull;
-    }
+    const std::uint64_t h = verdict_multiset_hash(blk.universe, r);
     EXPECT_EQ(h, pin.hash) << pin.block << ": 0x" << std::hex << h;
   }
+}
+
+TEST(EnginePinned, TwelveFlowVerdictMultisetMatchesRecordedHash) {
+  // `dfmres flow` on every Table-II block: the verdict multisets of the
+  // 12 run_initial calls, folded in block order into one hash.
+  FlowOptions options;
+  options.atpg.num_threads = 1;
+  std::uint64_t h = 14695981039346656037ull;
+  for (const auto name : benchmark_names()) {
+    DesignFlow flow(lib(), options);
+    const auto state = flow.run_initial(build_benchmark(name).value());
+    ASSERT_TRUE(state.has_value()) << name;
+    ASSERT_EQ(state->atpg.status.size(), state->universe.size()) << name;
+    h ^= verdict_multiset_hash(state->universe, state->atpg);
+    h *= 1099511628211ull;
+  }
+  EXPECT_EQ(h, 0xf8ef8bc1aa3b54a2ull) << "0x" << std::hex << h;
 }
 
 }  // namespace

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
+#include "src/circuits/benchmarks.hpp"
 #include "src/library/osu018.hpp"
 #include "src/netlist/extract.hpp"
+#include "src/netlist/level_queue.hpp"
 #include "src/netlist/netlist.hpp"
 #include "src/netlist/stats.hpp"
 
@@ -229,6 +233,102 @@ TEST_F(NetlistTest, ValidateCatchesArityMismatch) {
   nl_.mark_primary_output(n);
   const auto problems = nl_.validate();
   ASSERT_FALSE(problems.empty());
+}
+
+TEST(CombView, LevelsAreTopological) {
+  // Every combinational edge climbs a level, so a level-ordered wave
+  // evaluates each gate after all of its drivers.
+  for (const auto name : benchmark_names()) {
+    const Netlist nl = build_benchmark(name).value();
+    const CombView view = CombView::build(nl);
+    ASSERT_EQ(view.level.size(), nl.gate_capacity()) << name;
+    ASSERT_FALSE(view.order.empty()) << name;
+    std::uint32_t max_level = 0;
+    for (GateId g : view.order) {
+      const std::uint32_t level = view.level[g.value()];
+      max_level = std::max(max_level, level);
+      for (NetId in : nl.gate(g).fanin) {
+        const auto& net = nl.net(in);
+        if (!net.has_gate_driver() ||
+            nl.cell_of(net.driver_gate).sequential) {
+          continue;
+        }
+        EXPECT_GT(level, view.level[net.driver_gate.value()])
+            << name << " gate " << g.value();
+      }
+    }
+    EXPECT_EQ(view.num_levels, std::size_t{max_level} + 1) << name;
+  }
+}
+
+/// Pops every pending gate, checking that levels never decrease.
+std::vector<std::uint32_t> drain(LevelQueue& q,
+                                 const std::vector<std::uint32_t>& level) {
+  std::vector<std::uint32_t> out;
+  while (!q.empty()) {
+    const std::uint32_t g = q.pop();
+    if (!out.empty()) {
+      EXPECT_LE(level[out.back()], level[g]) << "gate " << g;
+    }
+    out.push_back(g);
+  }
+  return out;
+}
+
+TEST(LevelQueue, PopsByLevelAndServesEachPushOnce) {
+  // Gate g sits at level[g].
+  const std::vector<std::uint32_t> level = {3, 0, 5, 0, 3, 1, 2, 4};
+  LevelQueue q;
+  q.reset(6);
+  for (std::uint32_t g = 0; g < level.size(); ++g) q.push(level[g], g);
+  std::vector<std::uint32_t> out = drain(q, level);
+  std::sort(out.begin(), out.end());
+  EXPECT_EQ(out, (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+
+  // A wave: each popped gate schedules only higher levels.
+  q.push(level[5], 5);
+  EXPECT_EQ(q.pop(), 5u);
+  q.push(level[7], 7);
+  q.push(level[6], 6);
+  EXPECT_EQ(q.pop(), 6u);
+  q.push(level[2], 2);
+  EXPECT_EQ(drain(q, level), (std::vector<std::uint32_t>{7, 2}));
+}
+
+TEST(LevelQueue, ClearEmptiesAHalfDrainedQueue) {
+  const std::vector<std::uint32_t> level = {0, 1, 2, 3, 1};
+  LevelQueue q;
+  q.reset(4);
+  for (std::uint32_t g = 0; g < 4; ++g) q.push(level[g], g);
+  EXPECT_EQ(q.pop(), 0u);
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  q.push(level[4], 4);
+  EXPECT_EQ(drain(q, level), (std::vector<std::uint32_t>{4}));
+}
+
+TEST(LevelQueue, ResetToFewerLevelsServesNoStaleGate) {
+  LevelQueue q;
+  q.reset(100);
+  q.push(90, 1);
+  q.push(10, 2);
+  EXPECT_EQ(q.pop(), 2u);
+  // Gate 1 is still pending at level 90 when the queue is rebound to a
+  // shallower view.
+  q.reset(3);
+  EXPECT_TRUE(q.empty());
+  q.push(2, 3);
+  q.push(0, 4);
+  EXPECT_EQ(q.pop(), 4u);
+  EXPECT_EQ(q.pop(), 3u);
+  EXPECT_TRUE(q.empty());
+  // Back on a deep view, a wave spanning level 90 must not meet gate 1.
+  q.reset(100);
+  q.push(80, 5);
+  q.push(95, 6);
+  EXPECT_EQ(q.pop(), 5u);
+  EXPECT_EQ(q.pop(), 6u);
+  EXPECT_TRUE(q.empty());
 }
 
 }  // namespace

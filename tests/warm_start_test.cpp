@@ -390,41 +390,67 @@ struct Fnv {
   }
 };
 
-TEST(ResynPinned, SparcTluOutputMatchesRecordedHash) {
-  // `dfmres resyn sparc_tlu` at the default options: the written netlist,
-  // the final F/U/A/T and the accepted-candidate trace. Verdict caching
-  // and duplicate collapsing are pure accelerations, so a change to how
-  // they are stored must leave this hash as it is.
+/// What `dfmres resyn <block>` at the default options and one thread
+/// ends with.
+struct ResynOutput {
+  /// FNV-1a over the written netlist, the final F/U/A/T and the
+  /// accepted-candidate trace.
+  Fnv fnv;
+  std::size_t accepted = 0;  ///< accepted candidates
+  std::size_t smax = 0;      ///< final largest cluster
+};
+
+ResynOutput resyn_output(const char* block) {
   FlowOptions flow_options;
   flow_options.atpg.num_threads = 1;
   DesignFlow flow(osu018_library(), flow_options);
   const FlowState original =
-      flow.run_initial(build_benchmark("sparc_tlu").value()).value();
+      flow.run_initial(build_benchmark(block).value()).value();
   const auto result = resynthesize(flow, original, ResynthesisOptions{});
-  ASSERT_TRUE(result.has_value());
+  ResynOutput out;
+  EXPECT_TRUE(result.has_value()) << block;
+  if (!result.has_value()) return out;
   const FlowState& s = result->state;
-  Fnv fnv;
   std::ostringstream verilog;
   write_verilog(s.netlist, verilog);
-  fnv.add(verilog.str());
+  out.fnv.add(verilog.str());
   for (const std::size_t n : {s.num_faults(), s.num_undetectable(),
                               s.num_aborted(), s.atpg.tests.size()}) {
-    fnv.add(n);
+    out.fnv.add(n);
   }
-  std::size_t accepted = 0;
   for (const IterationRecord& r : result->report.trace) {
     if (!r.accepted) continue;
-    ++accepted;
+    ++out.accepted;
     for (const std::uint64_t v :
          {std::uint64_t(r.q), std::uint64_t(r.phase), std::uint64_t(r.smax),
           std::uint64_t(r.undetectable), std::uint64_t(r.faults),
           std::uint64_t(r.via_backtracking)}) {
-      fnv.add(v);
+      out.fnv.add(v);
     }
-    fnv.add(r.banned_through);
+    out.fnv.add(r.banned_through);
   }
-  EXPECT_GT(accepted, 0u);
-  EXPECT_EQ(fnv.h, 0x1047e3c936ee10baull) << "0x" << std::hex << fnv.h;
+  out.smax = s.smax();
+  return out;
+}
+
+TEST(ResynPinned, SparcTluOutputMatchesRecordedHash) {
+  // Verdict caching and duplicate collapsing are pure accelerations, so
+  // a change to how they are stored must leave this hash as it is.
+  const ResynOutput out = resyn_output("sparc_tlu");
+  EXPECT_GT(out.accepted, 0u);
+  EXPECT_EQ(out.fnv.h, 0x1047e3c936ee10baull)
+      << "0x" << std::hex << out.fnv.h;
+}
+
+TEST(ResynPinned, SparcExuOutputMatchesRecordedHash) {
+  // The datapath block whose phase 2 runs PODEM over regions of hundreds
+  // of gates. The order in which implication visits them is internal, so
+  // this hash, which adds the final Smax, must not move with it.
+  ResynOutput out = resyn_output("sparc_exu");
+  out.fnv.add(out.smax);
+  EXPECT_GT(out.accepted, 0u);
+  EXPECT_EQ(out.fnv.h, 0x7f410e1335c635a8ull)
+      << "0x" << std::hex << out.fnv.h;
 }
 
 TEST(ResynPinned, SparcLsuCompletes) {

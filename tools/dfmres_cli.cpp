@@ -1341,13 +1341,9 @@ int cmd_verilog(int argc, char** argv) {
     write_verilog(*design, std::cout);
     return 0;
   }
-  MapOptions mo;
-  const auto glib = generic_library();
   const auto tlib = osu018_library();
-  mo.fixed_map.emplace(glib->require("DFF").value(), tlib->require("DFFPOSX1"));
-  mo.fixed_map.emplace(glib->require("FA").value(), tlib->require("FAX1"));
-  mo.fixed_map.emplace(glib->require("HA").value(), tlib->require("HAX1"));
-  const auto mapped = technology_map(*design, tlib, mo);
+  const auto mapped = technology_map(
+      *design, tlib, macro_map_options(design->library(), *tlib));
   if (!mapped) {
     std::fprintf(stderr, "%s\n", mapped.status().to_string().c_str());
     return 1;
