@@ -141,6 +141,21 @@ print(f"sat stage gate: {report['circuit']} A={aborted} (<= {max_a}),"
 EOF
 done
 
+# Literal-free proof gate: on aes_core, SAT refutes unobservable cones
+# without reading the call's literals, and the proof memo answers later
+# calls on those victims by the literal-free cone key; each such hit is
+# a proof memo hit.
+"$BUILD_DIR/tools/dfmres" flow aes_core --threads 1 \
+  --report-out "$SATSTAGE_DIR/aes_core_t1.json" > /dev/null
+python3 - "$SATSTAGE_DIR/aes_core_t1.json" <<'EOF'
+import json, sys
+atpg = json.load(open(sys.argv[1]))["atpg"]
+cone, hits = atpg["cone_proof_hits"], atpg["proof_memo_hits"]
+assert 0 < cone <= hits, \
+    f"aes_core: cone_proof_hits={cone}, proof_memo_hits={hits}"
+print(f"literal-free proof gate: aes_core {cone} of {hits} memo hits by cone")
+EOF
+
 # A failing run must still flush its observability outputs: the CLI
 # exits non-zero but --trace-out holds a complete, loadable document,
 # not nothing and not a torn file.

@@ -290,7 +290,8 @@ def summarize_run(report, indent=""):
             f"{atpg.get('sat_aborted', 0)} A, "
             f"{atpg.get('sat_conflicts', 0)} conflicts, "
             f"{atpg.get('sat_clauses', 0)} clauses), "
-            f"{atpg.get('proof_memo_hits', 0)} proof memo hits, "
+            f"{atpg.get('proof_memo_hits', 0)} proof memo hits "
+            f"({atpg.get('cone_proof_hits', 0)} by cone), "
             f"phases {atpg['phase0_seconds']:.2f}/"
             f"{atpg['phase1_seconds']:.2f}/{atpg['phase2_seconds']:.2f}/"
             f"{atpg['phase3_seconds']:.2f}s"
@@ -316,6 +317,7 @@ def summarize_run(report, indent=""):
                 f" ({c.get('probe_sat_clauses', 0)} clauses,"
                 f" {c['probe_sat_seconds']:.2f}s),"
                 f" {c['probe_proof_memo_hits']} proof memo hits"
+                f" ({c.get('probe_cone_proof_hits', 0)} by cone)"
             )
         print_line(
             f"   resyn phases: build {p['build']:.2f}s, u_in {p['u_in']:.2f}s,"

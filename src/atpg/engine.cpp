@@ -372,21 +372,37 @@ AtpgResult run_atpg_overlay(const Netlist& nl, const FaultUniverse& universe,
   // outcome draws no rng and leaves no engine state behind, so skipping
   // the search changes no status and no test. Only U outcomes are
   // stored, and each is a complete proof: a search cut short by the
-  // budget or the cancel token ends Aborted.
+  // budget or the cancel token ends Aborted. A SAT proof that read none
+  // of a detect call's literals is also stored under the call's
+  // literal-free key, which answers every later call on the victim's
+  // cone with the same faulty value (DESIGN.md §18).
   const auto solve = [&](std::vector<V3>* test) {
+    if (region.is_detect() && proofs.contains(region.cone_signature())) {
+      ++result.counters.proof_memo_hits;
+      ++result.counters.cone_proof_hits;
+      return Podem::Outcome::Undetectable;
+    }
     if (proofs.contains(region.signature())) {
       ++result.counters.proof_memo_hits;
       return Podem::Outcome::Undetectable;
     }
     Podem::Outcome r = podem.search(region, test);
+    bool literal_free = false;
     if (r == Podem::Outcome::Aborted && !cancel_expired(options.cancel)) {
       ++result.counters.podem_handoffs;
       if (!sat) sat.emplace(nl, view, SatAtpg::Config{options.backtrack_limit,
                                                       options.cancel});
-      r = region.is_detect() ? sat->detect(region, test)
-                             : sat->justify(region, test);
+      if (region.is_detect()) {
+        r = sat->detect(region, test);
+        literal_free = sat->proof_literal_free();
+      } else {
+        r = sat->justify(region, test);
+      }
     }
-    if (r == Podem::Outcome::Undetectable) proofs.insert(region.signature());
+    if (r == Podem::Outcome::Undetectable) {
+      proofs.insert(region.signature());
+      if (literal_free) proofs.insert(region.cone_signature());
+    }
     return r;
   };
   // Process remaining targets; each generated test also drops others.

@@ -59,6 +59,12 @@ class Record {
   std::uint64_t a_, b_;
 };
 
+/// A summed key as stored: never {0, 0}, which marks empty memo slots.
+RegionSignature finish_key(RegionSignature sig) {
+  if (sig == RegionSignature{}) sig.lo = 1;
+  return sig;
+}
+
 /// The label of a constant net; the constant 0 is what an undriven net
 /// reads.
 RegionSignature constant_label(bool value) {
@@ -122,10 +128,6 @@ void RelevantRegion::add_literals() {
   }
 }
 
-void RelevantRegion::finish_key() {
-  if (sig_ == RegionSignature{}) sig_.lo = 1;  // {0, 0} marks empty slots
-}
-
 const RelevantRegion& RelevantRegion::detect(const Excitation& exc) {
   begin();
   detect_ = true;
@@ -163,7 +165,6 @@ const RelevantRegion& RelevantRegion::detect(const Excitation& exc) {
       .add(label_[victim_.value()])
       .add(faulty_value_ ? 1 : 0)
       .into(sig_);
-  add_literals();
   // Faulty labels in topological order; an observed cone net adds its
   // (good, faulty) pair, the only place a difference can be seen.
   const auto observe = [&](NetId n) {
@@ -186,7 +187,10 @@ const RelevantRegion& RelevantRegion::detect(const Excitation& exc) {
       observe(out);
     }
   }
-  finish_key();
+  // Records are summed, so the literals can come last.
+  cone_sig_ = finish_key(sig_);
+  add_literals();
+  sig_ = finish_key(sig_);
   return *this;
 }
 
@@ -200,7 +204,7 @@ const RelevantRegion& RelevantRegion::justify(
   for (CondLiteral& lit : lits_) lit.frame = 1;
   Record(kCallRecord).add(0).into(sig_);
   add_literals();
-  finish_key();
+  sig_ = finish_key(sig_);
   return *this;
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -100,6 +101,15 @@ class RelevantRegion {
   /// ids the call touched, which is why a proven U can be reused
   /// (DESIGN.md §18). Never {0, 0}.
   [[nodiscard]] const RegionSignature& signature() const { return sig_; }
+  /// Detect only: the key summed before the literal records, which is
+  /// exactly signature() of a detect call on the same victim and faulty
+  /// value with no frame-1 literals. A U proof of that call is a U proof
+  /// of every call that adds literals to it, so a proof that read none
+  /// of the literals is stored under this key too (DESIGN.md §18).
+  [[nodiscard]] const RegionSignature& cone_signature() const {
+    assert(detect_);
+    return cone_sig_;
+  }
 
   [[nodiscard]] const Netlist& netlist() const { return nl_; }
 
@@ -117,7 +127,6 @@ class RelevantRegion {
 
   void begin();
   void add_literals();
-  void finish_key();
   /// The closure of the current call, built on first use.
   const Closure& closure() const {
     if (!closure_.built) build_closure();
@@ -146,6 +155,7 @@ class RelevantRegion {
   std::vector<GateId> cone_gates_;
   std::vector<NetId> stack_;
   RegionSignature sig_;
+  RegionSignature cone_sig_;  // detect only
   mutable Closure closure_;
 };
 

@@ -349,6 +349,7 @@ SatSolver::Result SatSolver::solve(std::span<const SatLit> assumptions,
                                    long conflict_budget,
                                    const CancelToken* cancel) {
   conflicts_ = 0;
+  core_depth_ = 0;
   backtrack(0);
   if (!ok_) return Result::Unsat;
   // This call's decisions, each starting unbumped with phase 0, so the
@@ -431,6 +432,12 @@ SatSolver::Result SatSolver::solve(std::span<const SatLit> assumptions,
         break;
       }
       if (v == kFalse) {
+        // a is assumption i = decision_level(). Every variable assigned
+        // now sits at a level <= i, set at level 0 or under an earlier
+        // assumption (level j + 1 belongs to assumption j), so the walk
+        // from a through its reasons (MiniSat's analyzeFinal) reads no
+        // assumption past a: the first i + 1 are unsatisfiable.
+        core_depth_ = static_cast<std::size_t>(decision_level()) + 1;
         backtrack(0);
         return Result::Unsat;
       }

@@ -91,6 +91,10 @@ class SatSolver {
   }
   /// Conflicts of the last solve() call.
   [[nodiscard]] std::uint64_t conflicts() const { return conflicts_; }
+  /// After an Unsat answer: the length of the assumption prefix the
+  /// refutation read. The first core_depth() assumptions alone are
+  /// unsatisfiable with the clauses; 0 means the clauses alone are.
+  [[nodiscard]] std::size_t core_depth() const { return core_depth_; }
 
  private:
   static constexpr std::uint8_t kTrue = 0, kFalse = 1, kUndef = 2;
@@ -191,6 +195,7 @@ class SatSolver {
   std::uint32_t lbd_epoch_ = 0;
 
   std::uint64_t conflicts_ = 0;
+  std::size_t core_depth_ = 0;
 };
 
 }  // namespace dfmres

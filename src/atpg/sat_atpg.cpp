@@ -315,9 +315,17 @@ Podem::Outcome SatAtpg::detect(const RelevantRegion& region,
     assumptions_.push_back(SatLit::of(good(lit.net).var(), lit.value));
   }
   SatSolver::Result result = solve(0);
+  // The assumptions before the literals: the victim's good value here,
+  // the cone's activation literal too in the miter.
+  std::size_t literal_free_depth = 1;
   if (result != SatSolver::Result::Unsat) {
     // Then the miter. The cone of the previous detect call is reused
-    // by a call on the same victim and faulty value.
+    // by a call on the same victim and faulty value. That is rare: an
+    // unobservable victim's calls alternate faulty values, and a
+    // literal-free U proof answers the later ones from the proof memo.
+    // Over `flow aes_core` the reuse hit 8 of 101 miter solves (43 of 196
+    // before the memo's cone key; EXPERIMENTS.md, "Literal-free U
+    // proofs").
     if (victim != cone_victim_ || faulty_value != cone_value_) {
       encode_cone(region);
     }
@@ -331,7 +339,10 @@ Podem::Outcome SatAtpg::detect(const RelevantRegion& region,
     // The call's budget counts the first solve's conflicts too.
     result = solve(config_.conflict_limit -
                    static_cast<long>(solver_.conflicts()));
+    literal_free_depth = 2;
   }
+  literal_free_ = result == SatSolver::Result::Unsat &&
+                  solver_.core_depth() <= literal_free_depth;
   const Podem::Outcome r = finish(result, region, test);
   stats_.seconds += seconds_since(start);
   return r;

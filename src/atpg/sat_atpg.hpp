@@ -64,6 +64,12 @@ class SatAtpg {
   /// one V3 per source in `*test` (X = not in the region), Undetectable
   /// as a proof, or Aborted past the conflict limit or on cancellation.
   Podem::Outcome detect(const RelevantRegion& region, std::vector<V3>* test);
+  /// After a detect() that returned Undetectable: whether its refutation
+  /// read none of the call's literals, only the cone's activation literal
+  /// and the victim's good value. Then the call without its literals is
+  /// Undetectable too, and so is every call on the same victim, faulty
+  /// value and cone (RelevantRegion::cone_signature()).
+  [[nodiscard]] bool proof_literal_free() const { return literal_free_; }
 
   /// Same contract as Podem::search on a justify region.
   Podem::Outcome justify(const RelevantRegion& region,
@@ -139,6 +145,7 @@ class SatAtpg {
 
   // The current call.
   std::vector<SatLit> assumptions_;  // [act_, victim's good value,] literals
+  bool literal_free_ = false;        // see proof_literal_free()
   std::vector<std::uint32_t> decisions_;
   std::vector<SatLit> clause_;       // scratch
   std::vector<SatLit> observed_;     // differences at observed nets

@@ -478,6 +478,7 @@ class Procedure {
     report_.probe_sat_seconds += c.sat_seconds;
     report_.probe_phase2_seconds += c.phase2_seconds;
     report_.probe_proof_memo_hits += c.proof_memo_hits;
+    report_.probe_cone_proof_hits += c.cone_proof_hits;
   }
 
   /// Evaluates a candidate's metrics, memoized across the q sweep.
@@ -1069,13 +1070,14 @@ class Procedure {
 std::string ResynthesisReport::probe_atpg_summary() const {
   return strfmt(
       "atpg (probes): phase 2 %.3fs, %llu handoffs, sat %llu D/%llu U/%llu A "
-      "(%llu clauses, %.3fs), %llu proof memo hits",
+      "(%llu clauses, %.3fs), %llu proof memo hits (%llu by cone)",
       probe_phase2_seconds, static_cast<unsigned long long>(probe_podem_handoffs),
       static_cast<unsigned long long>(probe_sat_detected),
       static_cast<unsigned long long>(probe_sat_undetectable),
       static_cast<unsigned long long>(probe_sat_aborted),
       static_cast<unsigned long long>(probe_sat_clauses), probe_sat_seconds,
-      static_cast<unsigned long long>(probe_proof_memo_hits));
+      static_cast<unsigned long long>(probe_proof_memo_hits),
+      static_cast<unsigned long long>(probe_cone_proof_hits));
 }
 
 Expected<ResynthesisResult> resynthesize(DesignFlow& flow,

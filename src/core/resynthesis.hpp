@@ -110,7 +110,8 @@ struct ResynthesisReport {
   double probe_load_seconds = 0.0;
   /// Probe-side ATPG phase 2, aggregated the same way: the calls PODEM
   /// handed to SAT, SAT's verdicts, clauses and time, phase-2 wall time,
-  /// and the calls the proof memo answered. The signoff `atpg:` line and
+  /// and the calls the proof memo answered (in all, and by a literal-free
+  /// cone key). The signoff `atpg:` line and
   /// AtpgResult counters cover committed analyses only.
   std::uint64_t probe_podem_handoffs = 0;
   std::uint64_t probe_sat_detected = 0;
@@ -120,6 +121,7 @@ struct ResynthesisReport {
   double probe_sat_seconds = 0.0;
   double probe_phase2_seconds = 0.0;
   std::uint64_t probe_proof_memo_hits = 0;
+  std::uint64_t probe_cone_proof_hits = 0;
 
   /// The probe-side phase-2 counters as one labelled CLI line.
   [[nodiscard]] std::string probe_atpg_summary() const;

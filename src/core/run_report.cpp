@@ -138,6 +138,7 @@ std::string RunReport::to_json() const {
     w.field("probe_sat_seconds", r.probe_sat_seconds);
     w.field("probe_phase2_seconds", r.probe_phase2_seconds);
     w.field("probe_proof_memo_hits", r.probe_proof_memo_hits);
+    w.field("probe_cone_proof_hits", r.probe_cone_proof_hits);
     w.end_object();
     w.key("phase_seconds");
     w.begin_object();
@@ -211,6 +212,7 @@ void publish_metrics(const ResynthesisReport& report,
   registry.observe("resyn.probe_sat_seconds", report.probe_sat_seconds);
   registry.observe("resyn.probe_phase2_seconds", report.probe_phase2_seconds);
   registry.add("resyn.probe_proof_memo_hits", report.probe_proof_memo_hits);
+  registry.add("resyn.probe_cone_proof_hits", report.probe_cone_proof_hits);
   registry.observe("resyn.build_seconds", report.build_seconds);
   registry.observe("resyn.u_in_seconds", report.u_in_seconds);
   registry.observe("resyn.probe_seconds", report.probe_seconds);

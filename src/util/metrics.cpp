@@ -70,6 +70,7 @@ void MetricsRegistry::absorb(const AtpgCounters& counters,
   add(p + "sat_aborted", counters.sat_aborted);
   add(p + "sat_clauses", counters.sat_clauses);
   add(p + "proof_memo_hits", counters.proof_memo_hits);
+  add(p + "cone_proof_hits", counters.cone_proof_hits);
   add(p + "memo_hits", counters.memo_hits);
   add(p + "verdict_stores", counters.verdict_stores);
   observe(p + "sat_seconds", counters.sat_seconds);

@@ -90,6 +90,7 @@ void AtpgCounters::merge(const AtpgCounters& other) {
   sat_aborted += other.sat_aborted;
   sat_clauses += other.sat_clauses;
   proof_memo_hits += other.proof_memo_hits;
+  cone_proof_hits += other.cone_proof_hits;
   memo_hits += other.memo_hits;
   verdict_stores += other.verdict_stores;
   sat_seconds += other.sat_seconds;
@@ -107,7 +108,8 @@ std::string AtpgCounters::summary() const {
       "%llu backtracks, %llu replay drops, "
       "%llu cancelled, loads %llu full + %llu overlay (%llu frame bytes), "
       "sat %llu calls (%llu handoffs, %llu D/%llu U/%llu A, %llu conflicts, "
-      "%llu clauses, %.3fs), %llu proof memo hits, phases %.3f/%.3f/%.3f/%.3fs, %d thread%s",
+      "%llu clauses, %.3fs), %llu proof memo hits (%llu by cone), "
+      "phases %.3f/%.3f/%.3f/%.3fs, %d thread%s",
       static_cast<unsigned long long>(patterns_simulated),
       static_cast<unsigned long long>(detect_mask_calls),
       static_cast<unsigned long long>(propagation_events),
@@ -124,8 +126,10 @@ std::string AtpgCounters::summary() const {
       static_cast<unsigned long long>(sat_aborted),
       static_cast<unsigned long long>(sat_conflicts),
       static_cast<unsigned long long>(sat_clauses), sat_seconds,
-      static_cast<unsigned long long>(proof_memo_hits), phase0_seconds, phase1_seconds, phase2_seconds, phase3_seconds,
-      threads_used, threads_used == 1 ? "" : "s");
+      static_cast<unsigned long long>(proof_memo_hits),
+      static_cast<unsigned long long>(cone_proof_hits), phase0_seconds,
+      phase1_seconds, phase2_seconds, phase3_seconds, threads_used,
+      threads_used == 1 ? "" : "s");
 }
 
 std::string AtpgCounters::json() const {
@@ -141,7 +145,7 @@ std::string AtpgCounters::json() const {
       "\"sat_calls\": %llu, \"sat_conflicts\": %llu, "
       "\"sat_detected\": %llu, \"sat_undetectable\": %llu, "
       "\"sat_aborted\": %llu, \"sat_clauses\": %llu, "
-      "\"proof_memo_hits\": %llu, "
+      "\"proof_memo_hits\": %llu, \"cone_proof_hits\": %llu, "
       "\"sat_seconds\": %.6f, "
       "\"load_seconds\": %.6f, "
       "\"phase0_seconds\": %.6f, \"phase1_seconds\": %.6f, "
@@ -166,7 +170,8 @@ std::string AtpgCounters::json() const {
       static_cast<unsigned long long>(sat_undetectable),
       static_cast<unsigned long long>(sat_aborted),
       static_cast<unsigned long long>(sat_clauses),
-      static_cast<unsigned long long>(proof_memo_hits), sat_seconds,
+      static_cast<unsigned long long>(proof_memo_hits),
+      static_cast<unsigned long long>(cone_proof_hits), sat_seconds,
       load_seconds, phase0_seconds, phase1_seconds, phase2_seconds,
       phase3_seconds, threads_used);
 }

@@ -74,6 +74,9 @@ struct AtpgCounters {
   std::uint64_t sat_clauses = 0;          ///< clauses added, good + per call
   /// Phase-2 calls answered Undetectable by the arena's proof memo.
   std::uint64_t proof_memo_hits = 0;
+  /// The proof-memo hits answered by a detect call's literal-free key
+  /// (RelevantRegion::cone_signature()): a subset of proof_memo_hits.
+  std::uint64_t cone_proof_hits = 0;
   std::uint64_t memo_hits = 0;      ///< faults resolved from the cache alone
   std::uint64_t verdict_stores = 0; ///< verdicts written to cache/overlay
   double sat_seconds = 0.0;               ///< wall time inside SAT calls

@@ -1272,6 +1272,29 @@ TEST(RelevantRegion, JustifySignatureIgnoresLiteralFrameAndOrder) {
   for (const CondLiteral& lit : region.lits()) EXPECT_EQ(lit.frame, 1);
 }
 
+TEST(RelevantRegion, ConeSignatureIsTheLiteralFreeDetectKey) {
+  SigBlock blk;
+  const CombView view = CombView::build(blk.f.nl);
+  RelevantRegion region(blk.f.nl, view);
+  // Only the frame-0 literal left: detection reads no literal at all.
+  Excitation bare = blk.exc;
+  bare.lits.erase(bare.lits.begin());
+  region.detect(bare);
+  ASSERT_TRUE(region.lits().empty());
+  const RegionSignature cone = region.cone_signature();
+  EXPECT_EQ(region.signature(), cone);
+  // The frame-1 literal c = 1 moves the call's key, not the cone's.
+  region.detect(blk.exc);
+  ASSERT_EQ(region.lits().size(), 1u);
+  EXPECT_EQ(region.cone_signature(), cone);
+  EXPECT_NE(region.signature(), cone);
+  EXPECT_EQ(region.signature(), blk.detect());
+  // Another faulty value is another cone key.
+  Excitation flipped = bare;
+  flipped.faulty_value = true;
+  EXPECT_NE(region.detect(flipped).cone_signature(), cone);
+}
+
 TEST(ProofMemo, StoresSignaturesAndClearsAtTheCap) {
   ProofMemo memo;
   const auto sig = [](std::uint64_t i) {
@@ -1363,6 +1386,60 @@ TEST(ProofMemo, RenumberedCandidateHitsTheMemo) {
   EXPECT_GT(warm.counters.proof_memo_hits, cold.counters.proof_memo_hits);
   EXPECT_EQ(warm.status, cold.status);
   EXPECT_EQ(warm.tests, cold.tests);
+}
+
+TEST(ProofMemo, LiteralFreeProofAnswersLaterCallsOnTheVictim) {
+  // v = AND(p, q) feeds y = AND(v, s) -> PO, where the side input
+  // s = OR(OR(z0, z1), OR(z2, z3)) with zi = XOR(xi, BUF(xi)) is the
+  // constant 0: nothing on v is observable. PODEM cannot see the
+  // constant within its handoff budget (it backtracks over every xi
+  // trying to raise s), so SAT proves the first wired-AND bridge on v
+  // undetectable, and that proof reads nothing of its aggressor. The
+  // second bridge, with another aggressor and so another literal, is
+  // then a hit on the cone key: no PODEM pass and no SAT call.
+  Fixture f;
+  UdfmMap udfm(*lib());
+  const NetId p = f.nl.add_primary_input();
+  const NetId q = f.nl.add_primary_input();
+  const NetId a0 = f.nl.add_primary_input();
+  const NetId a1 = f.nl.add_primary_input();
+  NetId z[4];
+  for (NetId& zi : z) {
+    const NetId x = f.nl.add_primary_input();
+    zi = f.out(f.add("XOR2X1", {x, f.out(f.add("BUFX2", {x}))}));
+  }
+  const NetId s = f.out(f.add("OR2X2", {f.out(f.add("OR2X2", {z[0], z[1]})),
+                                        f.out(f.add("OR2X2", {z[2], z[3]}))}));
+  const NetId v = f.out(f.add("AND2X2", {p, q}));
+  f.nl.mark_primary_output(f.out(f.add("AND2X2", {v, s})));
+  f.nl.mark_primary_output(a0);
+  f.nl.mark_primary_output(a1);
+  const auto bridge = [&](NetId aggressor) {
+    Fault fault;
+    fault.kind = FaultKind::Bridge;
+    fault.victim = v;
+    fault.aggressor = aggressor;
+    fault.bridge_type = BridgeType::DomAnd;  // literal aggressor = 0
+    return fault;
+  };
+  AtpgOptions options;
+  options.random_batches = 0;  // every fault reaches phase 2
+  options.num_threads = 1;
+  FaultUniverse first;
+  first.faults = {bridge(a0)};
+  FaultUniverse both;
+  both.faults = {bridge(a0), bridge(a1)};
+  const AtpgResult one = run_atpg(f.nl, first, udfm, options);
+  const AtpgResult two = run_atpg(f.nl, both, udfm, options);
+  ASSERT_EQ(one.num_undetectable, 1u);
+  ASSERT_EQ(two.num_undetectable, 2u);
+  EXPECT_EQ(one.counters.sat_undetectable, 1u);
+  EXPECT_EQ(one.counters.proof_memo_hits, 0u);
+  EXPECT_EQ(two.counters.sat_calls, one.counters.sat_calls);
+  EXPECT_EQ(two.counters.proof_memo_hits, 1u);
+  EXPECT_EQ(two.counters.cone_proof_hits, 1u);
+  EXPECT_GT(one.counters.podem_backtracks, 0u);
+  EXPECT_EQ(two.counters.podem_backtracks, one.counters.podem_backtracks);
 }
 
 TEST(ProofMemo, ExpiredCancelStoresNothing) {

@@ -296,6 +296,7 @@ TEST(Metrics, AbsorbAtpgCounters) {
   counters.memo_hits = 40;
   counters.verdict_stores = 3;
   counters.proof_memo_hits = 11;
+  counters.cone_proof_hits = 5;
 
   MetricsRegistry registry;
   registry.absorb(counters);
@@ -305,6 +306,7 @@ TEST(Metrics, AbsorbAtpgCounters) {
   EXPECT_EQ(registry.counter("atpg.memo_hits"), 80u);
   EXPECT_EQ(registry.counter("atpg.verdict_stores"), 6u);
   EXPECT_EQ(registry.counter("atpg.proof_memo_hits"), 22u);
+  EXPECT_EQ(registry.counter("atpg.cone_proof_hits"), 10u);
   EXPECT_EQ(registry.histogram_stats("atpg.phase2_seconds").count(), 2u);
   EXPECT_DOUBLE_EQ(registry.histogram_stats("atpg.phase2_seconds").sum(), 3.0);
   EXPECT_DOUBLE_EQ(registry.gauge("atpg.threads_used"), 4.0);
@@ -363,23 +365,26 @@ TEST(RunReportTest, ProbePhase2CountersReachReportMetricsAndCliLine) {
   resyn.probe_sat_seconds = 0.25;
   resyn.probe_phase2_seconds = 0.5;
   resyn.probe_proof_memo_hits = 7;
+  resyn.probe_cone_proof_hits = 3;
   RunReport report("resyn", "unit_block");
   report.set_resynthesis(resyn);
   const std::string json = report.to_json();
   EXPECT_TRUE(is_valid_json(json));
   EXPECT_NE(json.find("\"probe_podem_handoffs\":12"), std::string::npos);
   EXPECT_NE(json.find("\"probe_proof_memo_hits\":7"), std::string::npos);
+  EXPECT_NE(json.find("\"probe_cone_proof_hits\":3"), std::string::npos);
   EXPECT_NE(json.find("\"probe_sat_clauses\":480"), std::string::npos);
   MetricsRegistry registry;
   publish_metrics(resyn, registry);
   EXPECT_EQ(registry.counter("resyn.probe_sat_undetectable"), 10u);
   EXPECT_EQ(registry.counter("resyn.probe_proof_memo_hits"), 7u);
+  EXPECT_EQ(registry.counter("resyn.probe_cone_proof_hits"), 3u);
   EXPECT_EQ(registry.counter("resyn.probe_sat_clauses"), 480u);
   EXPECT_DOUBLE_EQ(registry.histogram_stats("resyn.probe_phase2_seconds").sum(),
                    0.5);
   EXPECT_EQ(resyn.probe_atpg_summary(),
             "atpg (probes): phase 2 0.500s, 12 handoffs, sat 2 D/10 U/0 A "
-            "(480 clauses, 0.250s), 7 proof memo hits");
+            "(480 clauses, 0.250s), 7 proof memo hits (3 by cone)");
 }
 
 TEST(RunReportTest, PublishMetricsEmitsConvergenceSeries) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -181,16 +182,31 @@ TEST(SatSolver, ContradictoryUnitsAreUnsat) {
   EXPECT_EQ(solve_all(s, 100), SatSolver::Result::Unsat);
 }
 
-TEST(SatSolver, AssumptionsMatchBruteForce) {
-  // One solver across many activation groups, as an ATPG run uses it: a
-  // random base CNF, then groups of clauses guarded by ~act over the base
-  // and the group's own variables, each solved under act plus random
-  // base literals, then retired. Retired groups' variables come back
-  // through collections; every answer is checked by brute force.
+/// One solve of guarded_random_solves(): the solver, the clauses that
+/// constrain it under act (the base first, then the live group's clauses
+/// without their ~act guard), their variables (the base first, then the
+/// group's own; act is not among them) and the assumptions (act first).
+struct GuardedSolve {
+  SatSolver& s;
+  const std::vector<Clause>& cnf;
+  std::size_t base_clauses;
+  const std::vector<std::uint32_t>& vars;
+  std::size_t base_vars;
+  const std::vector<SatLit>& assumptions;
+};
+
+/// One solver across many activation groups, as an ATPG run uses it: a
+/// random base CNF, then groups of clauses guarded by ~act over the base
+/// and the group's own variables, each solved (by `check`) under act
+/// plus up to two random base literals, then retired. Retired groups'
+/// variables come back through collections, so the solver stays smaller
+/// than everything ever allocated.
+template <typename Check>
+void guarded_random_solves(Check check) {
   Rng rng(2026);
-  int sat = 0, unsat = 0, allocated = 0;
   for (int instance = 0; instance < 8; ++instance) {
     SatSolver s;
+    int allocated = 0;
     const std::uint32_t n = 4 + static_cast<std::uint32_t>(rng.below(5));
     std::vector<std::uint32_t> base;
     for (std::uint32_t v = 0; v < n; ++v) base.push_back(s.new_var());
@@ -224,45 +240,91 @@ TEST(SatSolver, AssumptionsMatchBruteForce) {
       }
       for (int solve = 0; solve < 3; ++solve) {
         std::vector<SatLit> assumptions{act};
-        std::vector<Clause> with_units = cnf;
         for (std::uint64_t a = rng.below(3); a > 0; --a) {
-          const SatLit l = SatLit::of(base[rng.below(n)], rng.flip());
-          assumptions.push_back(l);
-          with_units.push_back({l});
+          assumptions.push_back(SatLit::of(base[rng.below(n)], rng.flip()));
         }
-        // Brute force over the base and the group's variables, indexed
-        // by position in `vars`.
-        bool brute = false;
-        std::vector<bool> model(s.num_vars());
-        for (std::uint32_t bits = 0; bits < (1u << vars.size()) && !brute;
-             ++bits) {
-          for (std::size_t i = 0; i < vars.size(); ++i) {
-            model[vars[i]] = (bits >> i) & 1u;
-          }
-          brute = satisfies(with_units, model);
-        }
-        const SatSolver::Result r = s.solve(assumptions, vars, 1'000'000);
-        ASSERT_NE(r, SatSolver::Result::Unknown);
-        ASSERT_EQ(r == SatSolver::Result::Sat, brute)
-            << "instance " << instance << " group " << group;
-        if (brute) {
-          for (const std::uint32_t v : vars) model[v] = s.model_value(v);
-          EXPECT_TRUE(satisfies(with_units, model))
-              << "instance " << instance << " group " << group;
-          ++sat;
-        } else {
-          ++unsat;
-        }
+        check(GuardedSolve{s, cnf, base_cnf.size(), vars, base.size(),
+                           assumptions});
       }
       s.retire(act, own);
     }
-    // Collected variables are reused, so the solver stays smaller than
-    // everything ever allocated.
     EXPECT_LT(s.num_vars(), n + static_cast<std::uint32_t>(allocated));
-    allocated = 0;
   }
+}
+
+/// Brute force: whether `cnf` plus the unit clauses `units` has a model
+/// over `vars` (every clause's variables among them).
+bool brute_sat(std::vector<Clause> cnf, std::span<const SatLit> units,
+               const std::vector<std::uint32_t>& vars,
+               std::uint32_t num_vars) {
+  for (const SatLit l : units) cnf.push_back({l});
+  std::vector<bool> model(num_vars);
+  for (std::uint32_t bits = 0; bits < (1u << vars.size()); ++bits) {
+    for (std::size_t i = 0; i < vars.size(); ++i) {
+      model[vars[i]] = (bits >> i) & 1u;
+    }
+    if (satisfies(cnf, model)) return true;
+  }
+  return false;
+}
+
+TEST(SatSolver, AssumptionsMatchBruteForce) {
+  // Every answer under assumptions is checked by brute force, and every
+  // model against the clauses and assumptions.
+  int sat = 0, unsat = 0;
+  guarded_random_solves([&](const GuardedSolve& g) {
+    const std::span<const SatLit> after_act(g.assumptions.begin() + 1,
+                                            g.assumptions.end());
+    const bool brute = brute_sat(g.cnf, after_act, g.vars, g.s.num_vars());
+    const SatSolver::Result r = g.s.solve(g.assumptions, g.vars, 1'000'000);
+    ASSERT_NE(r, SatSolver::Result::Unknown);
+    ASSERT_EQ(r == SatSolver::Result::Sat, brute);
+    if (!brute) {
+      ++unsat;
+      return;
+    }
+    std::vector<Clause> with_units = g.cnf;
+    for (const SatLit l : after_act) with_units.push_back({l});
+    std::vector<bool> model(g.s.num_vars());
+    for (const std::uint32_t v : g.vars) model[v] = g.s.model_value(v);
+    EXPECT_TRUE(satisfies(with_units, model));
+    ++sat;
+  });
   EXPECT_GT(sat, 100);
   EXPECT_GT(unsat, 100);
+}
+
+TEST(SatSolver, FailedAssumptionCoreMatchesBruteForce) {
+  // On every Unsat, the first core_depth() assumptions alone must be
+  // unsatisfiable. Depth 0 claims the clauses alone are: with act free
+  // the group's guarded clauses hold, so that is the base alone.
+  int unsat = 0, shallow = 0;
+  guarded_random_solves([&](const GuardedSolve& g) {
+    const SatSolver::Result r = g.s.solve(g.assumptions, g.vars, 1'000'000);
+    ASSERT_NE(r, SatSolver::Result::Unknown);
+    if (r != SatSolver::Result::Unsat) return;
+    ++unsat;
+    const std::size_t depth = g.s.core_depth();
+    ASSERT_LE(depth, g.assumptions.size());
+    if (depth < g.assumptions.size()) ++shallow;
+    if (depth == 0) {
+      const std::vector<Clause> base(g.cnf.begin(),
+                                     g.cnf.begin() + static_cast<std::ptrdiff_t>(
+                                                         g.base_clauses));
+      const std::vector<std::uint32_t> base_vars(
+          g.vars.begin(),
+          g.vars.begin() + static_cast<std::ptrdiff_t>(g.base_vars));
+      EXPECT_FALSE(brute_sat(base, {}, base_vars, g.s.num_vars()));
+      return;
+    }
+    // act (assumption 0) is in the prefix, so the group's clauses hold.
+    const std::span<const SatLit> prefix_after_act(g.assumptions.begin() + 1,
+                                                   depth - 1);
+    EXPECT_FALSE(brute_sat(g.cnf, prefix_after_act, g.vars, g.s.num_vars()))
+        << "core depth " << depth << " of " << g.assumptions.size();
+  });
+  EXPECT_GT(unsat, 100);
+  EXPECT_GT(shallow, 20);
 }
 
 /// Completes a V3 assignment with random don't-cares.
@@ -279,7 +341,8 @@ std::vector<std::uint8_t> complete(const std::vector<V3>& assign,
 /// Every excitation of every fault: SAT must decide it within 10^6
 /// conflicts, agree with PODEM wherever PODEM decides within 10^4
 /// backtracks, and every SAT test must detect its fault in a fresh fault
-/// simulator. (PODEM's hard targets cost ~10 us per backtrack: at 10^6
+/// simulator. Every U proof SAT reports literal-free must hold for the
+/// call without its literals, on a fresh solver. (PODEM's hard targets cost ~10 us per backtrack: at 10^6
 /// backtracks the sparc_tlu differential alone runs for over six
 /// minutes.)
 void differential(std::string_view block) {
@@ -290,11 +353,12 @@ void differential(std::string_view block) {
   const CombView view = CombView::build(s.netlist);
   Podem podem(s.netlist, view, {10'000});
   RelevantRegion region(s.netlist, view);
+  RelevantRegion bare(s.netlist, view);
   SatAtpg sat(s.netlist, view, {1'000'000});
   FaultSimulator fsim(s.netlist, view);
   Rng rng(99);
   std::size_t compared = 0, detected = 0, undetectable = 0;
-  std::size_t podem_aborted = 0;
+  std::size_t podem_aborted = 0, literal_free = 0;
   for (const Fault& fault : s.universe.faults) {
     for (const Excitation& exc : build_excitations(fault, s.netlist, flow.udfm())) {
       std::vector<CondLiteral> frame0;
@@ -328,6 +392,17 @@ void differential(std::string_view block) {
       ++compared;
       if (sd != Podem::Outcome::Detected) {
         ++undetectable;
+        if (sat.proof_literal_free()) {
+          ++literal_free;
+          Excitation no_lits = exc;
+          no_lits.lits.clear();
+          SatAtpg fresh(s.netlist, view, {1'000'000});
+          EXPECT_EQ(fresh.detect(bare.detect(no_lits), nullptr),
+                    Podem::Outcome::Undetectable)
+              << block << " literal-free proof, victim "
+              << exc.victim.value();
+          EXPECT_EQ(bare.signature(), region.cone_signature());
+        }
         continue;
       }
       ++detected;
@@ -343,10 +418,13 @@ void differential(std::string_view block) {
   EXPECT_GT(detected, 100u) << block;
   EXPECT_GT(undetectable, 0u) << block;
   EXPECT_EQ(sat.stats().aborted, 0u);
+  EXPECT_GT(literal_free, 0u) << block;
   EXPECT_EQ(compared, detected + undetectable);
-  std::printf("%s: %zu excitations, %zu D / %zu U by SAT, %zu PODEM aborts\n",
-              std::string(block).c_str(), compared, detected, undetectable,
-              podem_aborted);
+  std::printf(
+      "%s: %zu excitations, %zu D / %zu U by SAT (%zu literal-free), %zu "
+      "PODEM aborts\n",
+      std::string(block).c_str(), compared, detected, undetectable,
+      literal_free, podem_aborted);
 }
 
 TEST(SatAtpg, AgreesWithPodemOnSparcTlu) { differential("sparc_tlu"); }

@@ -191,6 +191,8 @@ TEST(Stats, AtpgCountersMergeAndFormat) {
   b.obs_propagations = 4;
   a.proof_memo_hits = 1;
   b.proof_memo_hits = 6;
+  a.cone_proof_hits = 1;
+  b.cone_proof_hits = 2;
   a.sat_clauses = 40;
   b.sat_clauses = 2;
   a.merge(b);
@@ -200,12 +202,15 @@ TEST(Stats, AtpgCountersMergeAndFormat) {
   EXPECT_EQ(a.verdict_stores, 9u);
   EXPECT_EQ(a.obs_propagations, 4u);
   EXPECT_EQ(a.proof_memo_hits, 7u);
+  EXPECT_EQ(a.cone_proof_hits, 3u);
   EXPECT_DOUBLE_EQ(a.phase1_seconds, 0.75);
   EXPECT_EQ(a.threads_used, 4);
   EXPECT_NE(a.summary().find("13 patterns"), std::string::npos);
   EXPECT_NE(a.json().find("\"podem_backtracks\": 7"), std::string::npos);
-  EXPECT_NE(a.summary().find("7 proof memo hits"), std::string::npos);
+  EXPECT_NE(a.summary().find("7 proof memo hits (3 by cone)"),
+            std::string::npos);
   EXPECT_NE(a.json().find("\"proof_memo_hits\": 7"), std::string::npos);
+  EXPECT_NE(a.json().find("\"cone_proof_hits\": 3"), std::string::npos);
   EXPECT_NE(a.summary().find("42 clauses"), std::string::npos);
   EXPECT_NE(a.json().find("\"sat_clauses\": 42"), std::string::npos);
   // Metrics-registry only: the CLI line and the run-report schema stay
